@@ -57,7 +57,7 @@ from .errors import (
     PairNotJoint,
     ParameterOutOfRange,
 )
-from .exactlp import INFEASIBLE, LPResult, LinearProgram, OPTIMAL, UNBOUNDED, solve
+from .exactlp import INFEASIBLE, LPResult, LinearProgram, OPTIMAL, solve
 from .quantum import (
     ObservableSet,
     PeresIdentityReport,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from fractions import Fraction
@@ -143,7 +144,7 @@ def _load_box(path: str):
             raise BoxParseError(f"cannot read box file: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an over-long int literal
         raise BoxParseError(f"invalid JSON: {exc}") from exc
     return box_from_json_dict(data)
 
@@ -158,25 +159,12 @@ def cmd_analyze(args) -> int:
         }
         _write_text(_canonical_json(payload), args.output)
     else:
-        buffer = _CsvBuffer()
+        buffer = io.StringIO(newline="")
         writer = csv.writer(buffer)
         writer.writerow(CSV_COLUMNS)
         writer.writerow(report_to_csv_row(report))
-        _write_text(buffer.text(), args.output)
+        _write_text(buffer.getvalue(), args.output)
     return 0
-
-
-class _CsvBuffer:
-    """Minimal text sink for the csv module (keeps RFC-4180 line ends)."""
-
-    def __init__(self) -> None:
-        self._chunks: list[str] = []
-
-    def write(self, chunk: str) -> None:
-        self._chunks.append(chunk)
-
-    def text(self) -> str:
-        return "".join(self._chunks)
 
 
 def _sweep_grid(from_text: str, to_text: str, steps: int) -> list[Fraction]:
@@ -244,12 +232,12 @@ def cmd_sweep(args) -> int:
                                args.max_denominator, args.tolerance)
         rows.append(_sweep_row(w, box, args.budget))
     if args.format == "csv":
-        buffer = _CsvBuffer()
+        buffer = io.StringIO(newline="")
         writer = csv.writer(buffer)
         writer.writerow(SWEEP_COLUMNS)
         for row in rows:
             writer.writerow([row[c] for c in SWEEP_COLUMNS])
-        _write_text(buffer.text(), args.output)
+        _write_text(buffer.getvalue(), args.output)
     else:
         lines = "".join(_json_line(row) + "\n" for row in rows)
         _write_text(lines, args.output)

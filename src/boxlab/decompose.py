@@ -13,6 +13,11 @@ Everything here is exact-rational.  The questions answered:
   global dimension) and :func:`is_superlocal` (dimension > 2, the single-qubit
   dimension).
 
+Both vertex sets go through one engine: a small private record per set says
+how to enumerate its vertices and read a target's distributions, and the cell
+table, membership LP, subset search, decomposition check and mix are written
+once against it.
+
 Two hidden-variable semantics appear, both documented where used: the
 minimal-dimension searches count deterministic vertices (the reading under
 which every reference value in the test suite is computed), while
@@ -37,7 +42,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import NamedTuple, Sequence
+from operator import attrgetter
+from typing import Callable, NamedTuple, Sequence
 
 from .boxes import peres_box
 from .errors import (
@@ -46,13 +52,14 @@ from .errors import (
     NotDecomposable,
     NotLocal,
     NotNoncontextual,
+    ParameterOutOfRange,
 )
-from .exactlp import INFEASIBLE, OPTIMAL, LinearProgram, solve
+from .exactlp import INFEASIBLE, OPTIMAL, LinearProgram, LPResult, solve
 from .scenario import (
     BELL_SETTINGS,
     BellMarginal,
     Box,
-    CONTEXT_IDS,
+    as_rational,
     bell_correlator,
     bell_single,
     format_rational,
@@ -62,10 +69,8 @@ from .scenario import (
 from .vertices import (
     DetBoxId,
     LocalDetBoxId,
-    det_box,
     enumerate_local_vertices,
     enumerate_nc_vertices,
-    local_det_box,
     parse_det_label,
     parse_local_label,
 )
@@ -88,12 +93,43 @@ _ONE = Fraction(1)
 
 
 def _budget_value(budget: int | None) -> int:
-    if budget is not None:
-        return int(budget)
-    env = os.environ.get("BOXLAB_BUDGET")
-    if env:
-        return int(env)
-    return DEFAULT_BUDGET
+    """The node budget to use: ``budget``, else env ``BOXLAB_BUDGET``, else
+    :data:`DEFAULT_BUDGET`; anything but a nonnegative integer is rejected."""
+    if budget is None:
+        budget = os.environ.get("BOXLAB_BUDGET") or DEFAULT_BUDGET
+    try:
+        value = int(budget)
+    except (TypeError, ValueError):
+        value = None
+    if value is None or value < 0 or (
+            not isinstance(budget, str) and value != budget):
+        raise ParameterOutOfRange(
+            f"budget must be a nonnegative integer, got {budget!r}")
+    return value
+
+
+class _VertexSet(NamedTuple):
+    """One deterministic vertex set and how its targets are read.
+
+    ``dists`` maps a target (or vertex) to its tuple of distributions; every
+    vertex distribution holds a single 1.  ``noun`` names the target in error
+    messages.
+    """
+
+    name: str
+    vertices: Callable[[], tuple]
+    dists: Callable[[object], tuple]
+    target: type
+    parse_label: Callable[[str], object]
+    noun: str
+
+
+_NC = _VertexSet(NC_VERTEX_SET, enumerate_nc_vertices, attrgetter("contexts"),
+                 Box, parse_det_label, "box")
+_LHV = _VertexSet(LHV_VERTEX_SET, enumerate_local_vertices,
+                  attrgetter("dists"), BellMarginal, parse_local_label,
+                  "marginal")
+_VERTEX_SETS = {vs.name: vs for vs in (_NC, _LHV)}
 
 
 # ---------------------------------------------------------------------------
@@ -122,33 +158,17 @@ class Decomposition:
         return tuple(vid for vid, _ in self.terms)
 
     def reconstruct(self) -> Box | BellMarginal:
-        if self.vertex_set == NC_VERTEX_SET:
-            return _mix_nc(self.terms)
-        return _mix_lhv(self.terms)
+        return _mix(self.terms, _VERTEX_SETS[self.vertex_set])
 
 
-def _mix_nc(terms) -> Box:
-    vectors = [list(dist) for dist in (
-        [_ZERO] * 4, [_ZERO] * 8, [_ZERO] * 8, [_ZERO] * 4, [_ZERO] * 4)]
+def _mix(terms, vs: _VertexSet):
+    """The weighted sum of the vertices ``terms`` names (zero when empty)."""
+    by_id = dict(vs.vertices())
+    rows = [[_ZERO] * len(dist) for dist in vs.dists(vs.vertices()[0][1])]
     for vid, weight in terms:
-        vertex = det_box(vid)
-        for i, dist in enumerate(vertex.contexts):
-            row = vectors[i]
-            for j, p in enumerate(dist):
-                if p:
-                    row[j] += weight * p
-    return Box(tuple(tuple(row) for row in vectors))
-
-
-def _mix_lhv(terms) -> BellMarginal:
-    vectors = [[_ZERO] * 4 for _ in range(4)]
-    for vid, weight in terms:
-        vertex = local_det_box(vid)
-        for i, dist in enumerate(vertex.dists):
-            for j, p in enumerate(dist):
-                if p:
-                    vectors[i][j] += weight * p
-    return BellMarginal(tuple(tuple(row) for row in vectors))
+        for row, dist in zip(rows, vs.dists(by_id[vid])):
+            row[dist.index(_ONE)] += weight
+    return vs.target(tuple(tuple(row) for row in rows))
 
 
 def _checked_terms(terms) -> tuple:
@@ -164,20 +184,22 @@ def _checked_terms(terms) -> tuple:
     return cleaned
 
 
+def _decomposition(terms, target, vs: _VertexSet) -> Decomposition:
+    dec = Decomposition(vs.name, _checked_terms(terms))
+    if vs.dists(dec.reconstruct()) != vs.dists(target):
+        raise ValueError(
+            f"decomposition does not reconstruct the target {vs.noun}")
+    return dec
+
+
 def nc_decomposition(terms, target: Box) -> Decomposition:
     """Validated decomposition of ``target`` over the 64-vertex set."""
-    dec = Decomposition(NC_VERTEX_SET, _checked_terms(terms))
-    if dec.reconstruct().contexts != target.contexts:
-        raise ValueError("decomposition does not reconstruct the target box")
-    return dec
+    return _decomposition(terms, target, _NC)
 
 
 def lhv_decomposition(terms, target: BellMarginal) -> Decomposition:
     """Validated decomposition of ``target`` over the 16 local vertices."""
-    dec = Decomposition(LHV_VERTEX_SET, _checked_terms(terms))
-    if dec.reconstruct().dists != target.dists:
-        raise ValueError("decomposition does not reconstruct the target marginal")
-    return dec
+    return _decomposition(terms, target, _LHV)
 
 
 def decomposition_to_json(dec: Decomposition) -> list[dict]:
@@ -192,6 +214,7 @@ def decomposition_from_json(data, target: Box | BellMarginal) -> Decomposition:
     """Parse the JSON list form and validate against ``target``."""
     if not isinstance(data, Sequence) or isinstance(data, (str, bytes)):
         raise BoxParseError("decomposition JSON must be a list of terms")
+    vs = _NC if isinstance(target, Box) else _LHV
     terms = []
     for item in data:
         try:
@@ -199,14 +222,8 @@ def decomposition_from_json(data, target: Box | BellMarginal) -> Decomposition:
         except (TypeError, KeyError):
             raise BoxParseError(
                 "each term needs 'vertex' and 'weight' keys") from None
-        from .scenario import as_rational
-        if isinstance(target, Box):
-            terms.append((parse_det_label(label), as_rational(weight)))
-        else:
-            terms.append((parse_local_label(label), as_rational(weight)))
-    if isinstance(target, Box):
-        return nc_decomposition(terms, target)
-    return lhv_decomposition(terms, target)
+        terms.append((vs.parse_label(label), as_rational(weight)))
+    return _decomposition(terms, target, vs)
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +233,12 @@ def decomposition_from_json(data, target: Box | BellMarginal) -> Decomposition:
 class _CellTable(NamedTuple):
     """A target and its support-filtered candidates in shared cell indexing.
 
-    ``rhs[r]`` is the target's value at support cell ``r``; ``colbits[j]``
-    has bit ``r`` set iff candidate ``j`` puts its mass on cell ``r``.
-    Candidates whose support leaves the target's support cannot carry weight
-    in any nonnegative decomposition (the target is 0 where they are 1), so
-    dropping them is exact.
+    ``rhs[r]`` is the target's value at support cell ``r``, and
+    ``cell_index[(i, j)]`` is that ``r`` for entry ``j`` of distribution
+    ``i``; ``colbits[j]`` has bit ``r`` set iff candidate ``j`` puts its mass
+    on cell ``r``.  Candidates whose support leaves the target's support
+    cannot carry weight in any nonnegative decomposition (the target is 0
+    where they are 1), so dropping them is exact.
     """
 
     ids: tuple
@@ -228,13 +246,14 @@ class _CellTable(NamedTuple):
     rhs: tuple[Fraction, ...]
     full_mask: int
     context_cell_counts: tuple[int, ...]
+    cell_index: dict[tuple[int, int], int]
 
 
-def _box_cell_table(box: Box) -> _CellTable:
+def _cell_table(target, vs: _VertexSet) -> _CellTable:
     cell_index: dict[tuple[int, int], int] = {}
     rhs: list[Fraction] = []
     counts = []
-    for i, dist in enumerate(box.contexts):
+    for i, dist in enumerate(vs.dists(target)):
         count = 0
         for j, p in enumerate(dist):
             if p > 0:
@@ -243,9 +262,9 @@ def _box_cell_table(box: Box) -> _CellTable:
                 count += 1
         counts.append(count)
     ids, colbits = [], []
-    for vid, vertex in enumerate_nc_vertices():
+    for vid, vertex in vs.vertices():
         bits = 0
-        for i, dist in enumerate(vertex.contexts):
+        for i, dist in enumerate(vs.dists(vertex)):
             j = dist.index(_ONE)
             r = cell_index.get((i, j))
             if r is None:
@@ -255,35 +274,18 @@ def _box_cell_table(box: Box) -> _CellTable:
             ids.append(vid)
             colbits.append(bits)
     return _CellTable(tuple(ids), tuple(colbits), tuple(rhs),
-                      (1 << len(rhs)) - 1, tuple(counts))
+                      (1 << len(rhs)) - 1, tuple(counts), cell_index)
 
 
-def _marginal_cell_table(marginal: BellMarginal) -> _CellTable:
-    cell_index: dict[tuple[int, int], int] = {}
-    rhs: list[Fraction] = []
-    counts = []
-    for i, dist in enumerate(marginal.dists):
-        count = 0
-        for j, p in enumerate(dist):
-            if p > 0:
-                cell_index[(i, j)] = len(rhs)
-                rhs.append(p)
-                count += 1
-        counts.append(count)
-    ids, colbits = [], []
-    for vid, vertex in enumerate_local_vertices():
-        bits = 0
-        for i, dist in enumerate(vertex.dists):
-            j = dist.index(_ONE)
-            r = cell_index.get((i, j))
-            if r is None:
-                break
-            bits |= 1 << r
-        else:
-            ids.append(vid)
-            colbits.append(bits)
-    return _CellTable(tuple(ids), tuple(colbits), tuple(rhs),
-                      (1 << len(rhs)) - 1, tuple(counts))
+def _feasibility(columns: Sequence[int], table: _CellTable) -> LPResult:
+    """Exact LP for {q >= 0, per-cell sums = rhs, sum_j q_j = 1} over the
+    candidate ``columns`` (objective 0)."""
+    k = len(columns)
+    eq_rows = [[Fraction((table.colbits[c] >> r) & 1) for c in columns]
+               for r in range(len(table.rhs))]
+    eq_rows.append([_ONE] * k)
+    return solve(LinearProgram(n=k, objective=[_ZERO] * k, maximize=False,
+                               eq_rows=eq_rows, eq_rhs=[*table.rhs, _ONE]))
 
 
 def _solve_cell_system(columns: Sequence[int], table: _CellTable):
@@ -336,15 +338,7 @@ def _solve_cell_system(columns: Sequence[int], table: _CellTable):
         return q if all(v >= 0 for v in q) else None
 
     # Underdetermined: exact feasibility LP over the same equations.
-    eq_rows = []
-    eq_rhs = []
-    for r in range(n_rows):
-        eq_rows.append([Fraction((table.colbits[c] >> r) & 1) for c in columns])
-        eq_rhs.append(table.rhs[r])
-    eq_rows.append([_ONE] * k)
-    eq_rhs.append(_ONE)
-    result = solve(LinearProgram(n=k, objective=[_ZERO] * k, maximize=False,
-                                 eq_rows=eq_rows, eq_rhs=eq_rhs))
+    result = _feasibility(columns, table)
     return list(result.x) if result.status == OPTIMAL else None
 
 
@@ -352,28 +346,31 @@ def _solve_cell_system(columns: Sequence[int], table: _CellTable):
 # Membership and measures
 # ---------------------------------------------------------------------------
 
+def _membership(target, vs: _VertexSet) -> tuple[bool, Decomposition | None]:
+    table = _cell_table(target, vs)
+    m = len(table.ids)
+    if m == 0:
+        return (False, None)
+    result = _feasibility(range(m), table)
+    if result.status != OPTIMAL:
+        return (False, None)
+    terms = [(table.ids[j], result.x[j]) for j in range(m) if result.x[j] > 0]
+    return (True, _decomposition(terms, target, vs))
+
+
 def nc_membership(box: Box) -> tuple[bool, Decomposition | None]:
     """Whether the box is a convex mixture of the 64 deterministic vertices.
 
     Decided by exact LP feasibility; on success returns one witnessing
     decomposition (deterministic: fixed pivot rule and candidate order).
     """
-    table = _box_cell_table(box)
-    m = len(table.ids)
-    if m == 0:
-        return (False, None)
-    n_rows = len(table.rhs)
-    eq_rows = [[Fraction((table.colbits[j] >> r) & 1) for j in range(m)]
-               for r in range(n_rows)]
-    eq_rhs = list(table.rhs)
-    eq_rows.append([_ONE] * m)
-    eq_rhs.append(_ONE)
-    result = solve(LinearProgram(n=m, objective=[_ZERO] * m, maximize=False,
-                                 eq_rows=eq_rows, eq_rhs=eq_rhs))
-    if result.status != OPTIMAL:
-        return (False, None)
-    terms = [(table.ids[j], result.x[j]) for j in range(m) if result.x[j] > 0]
-    return (True, nc_decomposition(terms, box))
+    return _membership(box, _NC)
+
+
+def bell_local_membership(marginal: BellMarginal
+                          ) -> tuple[bool, Decomposition | None]:
+    """Whether the marginal mixes from the 16 local deterministic boxes."""
+    return _membership(marginal, _LHV)
 
 
 class ContextualFraction(NamedTuple):
@@ -391,9 +388,9 @@ def contextual_fraction(box: Box) -> ContextualFraction:
 
     Maximizes the total weight of a subnormalized vertex mixture bounded by
     the box entrywise; cost is one minus that optimum.  When the optimum is
-    below one, the rescaled remainder is itself a valid box (asserted).
+    below one, the rescaled remainder is itself a valid box (checked).
     """
-    table = _box_cell_table(box)
+    table = _cell_table(box, _NC)
     m = len(table.ids)
     if m == 0:
         ncf = _ZERO
@@ -404,7 +401,9 @@ def contextual_fraction(box: Box) -> ContextualFraction:
                    for r in range(n_rows)]
         result = solve(LinearProgram(n=m, objective=[_ONE] * m, maximize=True,
                                      le_rows=le_rows, le_rhs=list(table.rhs)))
-        assert result.status == OPTIMAL
+        if result.status != OPTIMAL:
+            raise AssertionError(
+                f"contextual-fraction LP returned {result.status}")
         ncf = result.value
         witness = tuple((table.ids[j], result.x[j]) for j in range(m)
                         if result.x[j] > 0)
@@ -415,9 +414,7 @@ def contextual_fraction(box: Box) -> ContextualFraction:
 
 
 def _assert_valid_remainder(box: Box, witness, ncf: Fraction) -> None:
-    mix = _mix_nc(witness) if witness else Box(
-        (tuple([_ZERO] * 4), tuple([_ZERO] * 8), tuple([_ZERO] * 8),
-         tuple([_ZERO] * 4), tuple([_ZERO] * 4)))
+    mix = _mix(witness, _NC)
     scale = 1 / (1 - ncf)
     remainder = [
         [(p - q) * scale for p, q in zip(box.contexts[i], mix.contexts[i])]
@@ -442,15 +439,10 @@ def peres_strength(box: Box) -> PeresStrength:
     noncontextual either).
     """
     parity = peres_box()
-    table = _box_cell_table(box)
-    m = len(table.ids)
     # Support-filtered candidates are exact here too: on cells where the box
     # is 0, every term of the nonnegative combination must vanish.
-    support_cell_index: dict[tuple[int, int], int] = {}
-    for i, dist in enumerate(box.contexts):
-        for j, p in enumerate(dist):
-            if p > 0:
-                support_cell_index[(i, j)] = len(support_cell_index)
+    table = _cell_table(box, _NC)
+    m = len(table.ids)
     # One equation per cell where the box or the parity box is positive; a
     # cell with box 0 but parity box positive forces p = 0.
     rows: list[list[Fraction]] = []
@@ -461,7 +453,7 @@ def peres_strength(box: Box) -> PeresStrength:
             if p == 0 and pp == 0:
                 continue
             row = [pp]
-            rbit = support_cell_index.get((i, j))
+            rbit = table.cell_index.get((i, j))
             for cand in range(m):
                 if rbit is not None and (table.colbits[cand] >> rbit) & 1:
                     row.append(_ONE)
@@ -477,15 +469,15 @@ def peres_strength(box: Box) -> PeresStrength:
     if result.status == INFEASIBLE:
         raise NotDecomposable(
             "box is not a mixture of the parity box with a noncontextual box")
-    assert result.status == OPTIMAL
+    if result.status != OPTIMAL:
+        raise AssertionError(f"parity-strength LP returned {result.status}")
     ps = result.value
     if ps == 1:
         return PeresStrength(ps, None)
     scale = 1 / (1 - ps)
     terms = [(table.ids[j], result.x[j + 1] * scale) for j in range(m)
              if result.x[j + 1] > 0]
-    residual_box = _mix_nc(terms)
-    return PeresStrength(ps, nc_decomposition(terms, residual_box))
+    return PeresStrength(ps, nc_decomposition(terms, _mix(terms, _NC)))
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +506,8 @@ class DimensionResult:
 _dimension_cache: dict[tuple, DimensionResult] = {}
 
 
-def _min_subset_search(table: _CellTable, budget: int, kind: str,
-                       make_decomposition) -> DimensionResult:
+def _min_subset_search(table: _CellTable, budget: int, target,
+                       vs: _VertexSet) -> DimensionResult:
     n = len(table.ids)
     rank = _table_rank(table)
     cap = min(n, rank + 1)
@@ -537,13 +529,14 @@ def _min_subset_search(table: _CellTable, budget: int, kind: str,
             q = _solve_cell_system(subset, table)
             if q is None:
                 continue
-            assert all(w > 0 for w in q), \
-                "smaller support escaped the refuted levels"
+            if not all(w > 0 for w in q):
+                raise AssertionError(
+                    "smaller support escaped the refuted levels")
             terms = [(table.ids[j], w) for j, w in zip(subset, q)]
-            return DimensionResult(k, EXACT, make_decomposition(terms), n,
-                                   nodes)
+            return DimensionResult(k, EXACT, _decomposition(terms, target, vs),
+                                   n, nodes)
     raise AssertionError(
-        f"no decomposition within the Caratheodory cap {cap} ({kind})")
+        f"no decomposition within the Caratheodory cap {cap} ({vs.name})")
 
 
 def _table_rank(table: _CellTable) -> int:
@@ -579,27 +572,36 @@ def _exact_rank(rows: list[list]) -> int:
     return len(pivots)
 
 
+def _min_dimension(target, budget: int | None, vs: _VertexSet, membership,
+                   outside_error: Exception) -> DimensionResult:
+    """Cached minimal-dimension search; ``membership(target)`` must hold
+    first, else ``outside_error`` is raised."""
+    budget = _budget_value(budget)
+    key = (vs.name, vs.dists(target), budget)
+    cached = _dimension_cache.get(key)
+    if cached is not None:
+        return cached
+    member, _ = membership(target)
+    if not member:
+        raise outside_error
+    result = _min_subset_search(_cell_table(target, vs), budget, target, vs)
+    _dimension_cache[key] = result
+    return result
+
+
 def min_nc_dimension(box: Box, budget: int | None = None) -> DimensionResult:
     """Minimal number of deterministic vertices mixing to the box.
 
     Exhaustive over increasing support sizes within the support-filtered
     candidate set; raises :class:`NotNoncontextual` for boxes outside the
     noncontextual polytope.  ``budget`` caps the number of enumerated
-    subsets (default :data:`DEFAULT_BUDGET`, env ``BOXLAB_BUDGET``).
+    subsets (default :data:`DEFAULT_BUDGET`, env ``BOXLAB_BUDGET``); a
+    budget that is not a nonnegative integer raises
+    :class:`~boxlab.errors.ParameterOutOfRange`.
     """
-    budget = _budget_value(budget)
-    key = ("nc", box.contexts, budget)
-    cached = _dimension_cache.get(key)
-    if cached is not None:
-        return cached
-    member, _ = nc_membership(box)
-    if not member:
-        raise NotNoncontextual("box is outside the noncontextual polytope")
-    table = _box_cell_table(box)
-    result = _min_subset_search(
-        table, budget, "nc", lambda terms: nc_decomposition(terms, box))
-    _dimension_cache[key] = result
-    return result
+    return _min_dimension(
+        box, budget, _NC, nc_membership,
+        NotNoncontextual("box is outside the noncontextual polytope"))
 
 
 def is_supernoncontextual(box: Box, budget: int | None = None
@@ -619,52 +621,15 @@ def is_supernoncontextual(box: Box, budget: int | None = None
         f"(< {GLOBAL_QUANTUM_DIM}) before exhausting its budget")
 
 
-def _bell_local_membership(marginal: BellMarginal
-                           ) -> tuple[bool, Decomposition | None]:
-    table = _marginal_cell_table(marginal)
-    m = len(table.ids)
-    if m == 0:
-        return (False, None)
-    n_rows = len(table.rhs)
-    eq_rows = [[Fraction((table.colbits[j] >> r) & 1) for j in range(m)]
-               for r in range(n_rows)]
-    eq_rhs = list(table.rhs)
-    eq_rows.append([_ONE] * m)
-    eq_rhs.append(_ONE)
-    result = solve(LinearProgram(n=m, objective=[_ZERO] * m, maximize=False,
-                                 eq_rows=eq_rows, eq_rhs=eq_rhs))
-    if result.status != OPTIMAL:
-        return (False, None)
-    terms = [(table.ids[j], result.x[j]) for j in range(m) if result.x[j] > 0]
-    return (True, lhv_decomposition(terms, marginal))
-
-
-def bell_local_membership(marginal: BellMarginal
-                          ) -> tuple[bool, Decomposition | None]:
-    """Whether the marginal mixes from the 16 local deterministic boxes."""
-    return _bell_local_membership(marginal)
-
-
 def min_lhv_dimension(marginal: BellMarginal,
                       budget: int | None = None) -> DimensionResult:
     """Minimal number of local deterministic boxes mixing to the marginal.
 
     Raises :class:`NotLocal` for marginals outside the local polytope.
     """
-    budget = _budget_value(budget)
-    key = ("lhv", marginal.dists, budget)
-    cached = _dimension_cache.get(key)
-    if cached is not None:
-        return cached
-    member, _ = _bell_local_membership(marginal)
-    if not member:
-        raise NotLocal("marginal is outside the local polytope")
-    table = _marginal_cell_table(marginal)
-    result = _min_subset_search(
-        table, budget, "lhv",
-        lambda terms: lhv_decomposition(terms, marginal))
-    _dimension_cache[key] = result
-    return result
+    return _min_dimension(
+        marginal, budget, _LHV, bell_local_membership,
+        NotLocal("marginal is outside the local polytope"))
 
 
 # ---------------------------------------------------------------------------
@@ -754,7 +719,8 @@ def product_lhv_terms(marginal: BellMarginal
         (beta[0] - v[0] / p_prime, beta[1] - v[1] / p_prime),
     )
     model = (term1, term2)
-    assert product_terms_marginal(model).dists == marginal.dists
+    if product_terms_marginal(model).dists != marginal.dists:
+        raise AssertionError("product model does not reproduce the marginal")
     return model
 
 
@@ -777,20 +743,20 @@ def is_superlocal(marginal: BellMarginal, budget: int | None = None
 # Polytope geometry
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=None)
+def _affine_dimension(vs: _VertexSet) -> int:
+    vertices = [tuple(p for dist in vs.dists(v) for p in dist)
+                for _, v in vs.vertices()]
+    base = vertices[0]
+    rows = [[int(a - b) for a, b in zip(v, base)] for v in vertices[1:]]
+    return _exact_rank(rows)
+
+
 def nc_affine_dimension() -> int:
     """Affine dimension of the noncontextual polytope (exact rank)."""
-    vertices = [vertex.entries() for _, vertex in enumerate_nc_vertices()]
-    base = vertices[0]
-    rows = [[int(a - b) for a, b in zip(v, base)] for v in vertices[1:]]
-    return _exact_rank(rows)
+    return _affine_dimension(_NC)
 
 
-@lru_cache(maxsize=1)
 def bell_affine_dimension() -> int:
     """Affine dimension of the Bell-local polytope (exact rank)."""
-    vertices = [tuple(p for dist in v.dists for p in dist)
-                for _, v in enumerate_local_vertices()]
-    base = vertices[0]
-    rows = [[int(a - b) for a, b in zip(v, base)] for v in vertices[1:]]
-    return _exact_rank(rows)
+    return _affine_dimension(_LHV)

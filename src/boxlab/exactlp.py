@@ -8,8 +8,10 @@ dozen rows and ~130 standard-form columns), so simplicity beats speed.
 
 Every returned answer is re-verified against the original program before it is
 handed back: optimal solutions are re-checked constraint by constraint,
-infeasibility is re-certified by the phase-1 optimum, and unbounded rays are
-re-checked to be feasible improving directions.
+and infeasibility is re-certified by the phase-1 optimum.  Every variable is
+nonnegative.  No program this package builds has an unbounded objective, so
+one is reported as :class:`~boxlab.errors.MalformedProgram` rather than as a
+status.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .errors import MalformedProgram
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -31,10 +32,7 @@ _ONE = Fraction(1)
 @dataclass
 class LinearProgram:
     """``max/min objective . x`` subject to ``eq_rows x = eq_rhs``,
-    ``le_rows x <= le_rhs``, and per-variable nonnegativity flags.
-
-    ``nonneg`` defaults to all-True; a False entry makes that variable free.
-    """
+    ``le_rows x <= le_rhs`` and ``x >= 0``."""
 
     n: int
     objective: Sequence[Fraction]
@@ -43,7 +41,6 @@ class LinearProgram:
     eq_rhs: Sequence[Fraction] = field(default_factory=list)
     le_rows: Sequence[Sequence[Fraction]] = field(default_factory=list)
     le_rhs: Sequence[Fraction] = field(default_factory=list)
-    nonneg: Sequence[bool] | None = None
 
 
 @dataclass(frozen=True)
@@ -57,7 +54,7 @@ class LPResult:
 
 def _validated(lp: LinearProgram) -> tuple[list[Fraction], list[list[Fraction]],
                                            list[Fraction], list[list[Fraction]],
-                                           list[Fraction], list[bool]]:
+                                           list[Fraction]]:
     if lp.n < 0:
         raise MalformedProgram("variable count must be nonnegative")
     objective = [Fraction(v) for v in lp.objective]
@@ -76,10 +73,7 @@ def _validated(lp: LinearProgram) -> tuple[list[Fraction], list[list[Fraction]],
                 f"constraint row length {len(row)} != variable count {lp.n}")
     eq_rhs = [Fraction(v) for v in lp.eq_rhs]
     le_rhs = [Fraction(v) for v in lp.le_rhs]
-    nonneg = list(lp.nonneg) if lp.nonneg is not None else [True] * lp.n
-    if len(nonneg) != lp.n:
-        raise MalformedProgram("nonneg length != variable count")
-    return objective, eq_rows, eq_rhs, le_rows, le_rhs, nonneg
+    return objective, eq_rows, eq_rhs, le_rows, le_rhs
 
 
 class _Tableau:
@@ -112,11 +106,11 @@ class _Tableau:
             self.rhs[r] -= factor * pivot_rhs
         self.basis[row] = col
 
-    def run_simplex(self, cost: list[Fraction], allowed: list[bool]) -> str:
+    def run_simplex(self, cost: list[Fraction], allowed: list[bool]) -> None:
         """Minimize ``cost . y`` from the current basis.
 
-        Returns "optimal" or "unbounded"; ``self._ray`` holds the unbounded
-        entering column.  ``allowed[j]`` False bars column j from entering.
+        ``allowed[j]`` False bars column j from entering.  Raises
+        :class:`MalformedProgram` when the objective is unbounded below.
         """
         m = len(self.rows)
         while True:
@@ -134,7 +128,7 @@ class _Tableau:
                     entering = j
                     break  # Bland: first (lowest-index) improving column.
             if entering < 0:
-                return OPTIMAL
+                return
             leaving = -1
             best_ratio: Fraction | None = None
             for r in range(m):
@@ -147,8 +141,8 @@ class _Tableau:
                         best_ratio = ratio
                         leaving = r
             if leaving < 0:
-                self._ray = entering
-                return UNBOUNDED
+                raise MalformedProgram(
+                    f"objective is unbounded along column {entering}")
             self.pivot(leaving, entering)
 
     def solution(self, ncols: int) -> list[Fraction]:
@@ -167,43 +161,18 @@ def solve(lp: LinearProgram) -> LPResult:
     infeasibility.  Phase 2 optimizes the requested objective.  The returned
     vertex solution is re-verified against the original constraints.
     """
-    objective, eq_rows, eq_rhs, le_rows, le_rhs, nonneg = _validated(lp)
+    objective, eq_rows, eq_rhs, le_rows, le_rhs = _validated(lp)
 
-    # --- standard form: minimize, equality rows, nonnegative variables ----
-    # Free variable i becomes plus/minus split columns.
-    col_of_var: list[tuple[int, int | None]] = []   # (plus column, minus column)
-    ncols = 0
-    for i in range(lp.n):
-        if nonneg[i]:
-            col_of_var.append((ncols, None))
-            ncols += 1
-        else:
-            col_of_var.append((ncols, ncols + 1))
-            ncols += 2
-    nstruct = ncols
-
-    def expand(row: list[Fraction]) -> list[Fraction]:
-        out = [_ZERO] * nstruct
-        for i, v in enumerate(row):
-            if v == 0:
-                continue
-            plus, minus = col_of_var[i]
-            out[plus] += v
-            if minus is not None:
-                out[minus] -= v
-        return out
-
-    rows = [expand(row) for row in eq_rows]
-    rhs = list(eq_rhs)
+    # --- standard form: minimize, equality rows, slack per inequality -----
     nslack = len(le_rows)
+    rows = [row + [_ZERO] * nslack for row in eq_rows]
+    rhs = list(eq_rhs)
     for k, row in enumerate(le_rows):
-        expanded = expand(row) + [_ZERO] * nslack
-        expanded[nstruct + k] = _ONE
-        rows.append(expanded)
+        slack = [_ZERO] * nslack
+        slack[k] = _ONE
+        rows.append(row + slack)
         rhs.append(le_rhs[k])
-    for r in range(len(eq_rows)):
-        rows[r] = rows[r] + [_ZERO] * nslack
-    width = nstruct + nslack
+    width = lp.n + nslack
     for r in range(len(rows)):
         if rhs[r] < 0:
             rows[r] = [-v for v in rows[r]]
@@ -219,17 +188,16 @@ def solve(lp: LinearProgram) -> LPResult:
     tableau = _Tableau(rows, rhs, basis, total)
 
     # --- phase 1 ----------------------------------------------------------
-    phase1_cost = [_ZERO] * width + [_ONE] * m
-    status = tableau.run_simplex(phase1_cost, [True] * total)
-    if status == UNBOUNDED:  # cannot happen: phase-1 objective bounded below by 0
-        raise MalformedProgram("phase-1 simplex reported unbounded")
+    # Bounded below by 0, so this never raises.
+    tableau.run_simplex([_ZERO] * width + [_ONE] * m, [True] * total)
     artificial_level = sum(
         (tableau.rhs[r] for r in range(m) if tableau.basis[r] >= width), _ZERO)
     if artificial_level > 0:
         # Re-verify the infeasibility certificate exactly.
         y = tableau.solution(total)
         recomputed = sum(y[width:], _ZERO)
-        assert recomputed == artificial_level and recomputed > 0
+        if recomputed != artificial_level or recomputed <= 0:
+            raise AssertionError("phase-1 infeasibility certificate mismatch")
         return LPResult(INFEASIBLE)
 
     # Drive remaining zero-level artificials out of the basis.
@@ -246,35 +214,19 @@ def solve(lp: LinearProgram) -> LPResult:
 
     # --- phase 2 ----------------------------------------------------------
     sign = Fraction(-1) if lp.maximize else _ONE
-    cost = [_ZERO] * total
-    for i in range(lp.n):
-        plus, minus = col_of_var[i]
-        cost[plus] += sign * objective[i]
-        if minus is not None:
-            cost[minus] -= sign * objective[i]
-    allowed = [True] * width + [False] * m
-    status = tableau.run_simplex(cost, allowed)
+    cost = [sign * c for c in objective] + [_ZERO] * (total - lp.n)
+    tableau.run_simplex(cost, [True] * width + [False] * m)
 
-    if status == UNBOUNDED:
-        _verify_ray(tableau, cost, lp, col_of_var, nstruct, width)
-        return LPResult(UNBOUNDED)
-
-    y = tableau.solution(width)
-    x = []
-    for i in range(lp.n):
-        plus, minus = col_of_var[i]
-        x.append(y[plus] - (y[minus] if minus is not None else _ZERO))
+    x = tableau.solution(lp.n)
     value = sum((objective[i] * x[i] for i in range(lp.n)), _ZERO)
-    _verify_solution(lp, objective, eq_rows, eq_rhs, le_rows, le_rhs, nonneg, x,
-                     value)
+    _verify_solution(objective, eq_rows, eq_rhs, le_rows, le_rhs, x, value)
     return LPResult(OPTIMAL, value, tuple(x))
 
 
-def _verify_solution(lp, objective, eq_rows, eq_rhs, le_rows, le_rhs, nonneg,
+def _verify_solution(objective, eq_rows, eq_rhs, le_rows, le_rhs,
                      x: list[Fraction], value: Fraction) -> None:
-    for i in range(lp.n):
-        if nonneg[i] and x[i] < 0:
-            raise AssertionError("simplex returned a negative variable")
+    if any(v < 0 for v in x):
+        raise AssertionError("simplex returned a negative variable")
     for row, b in zip(eq_rows, eq_rhs):
         if sum((c * v for c, v in zip(row, x)), _ZERO) != b:
             raise AssertionError("simplex solution violates an equality")
@@ -284,18 +236,3 @@ def _verify_solution(lp, objective, eq_rows, eq_rhs, le_rows, le_rhs, nonneg,
     if sum((c * v for c, v in zip(objective, x)), _ZERO) != value:
         raise AssertionError("objective value mismatch")
 
-
-def _verify_ray(tableau: _Tableau, cost: list[Fraction], lp: LinearProgram,
-                col_of_var, nstruct: int, width: int) -> None:
-    """Check the unbounded certificate: an improving feasible direction."""
-    entering = tableau._ray
-    direction = [_ZERO] * width
-    direction[entering] = _ONE
-    for r, col in enumerate(tableau.basis):
-        if col < width:
-            direction[col] = -tableau.rows[r][entering]
-    if any(v < 0 for v in direction):
-        raise AssertionError("unbounded ray leaves the nonnegative cone")
-    reduced = sum((cost[j] * direction[j] for j in range(width)), _ZERO)
-    if reduced >= 0:
-        raise AssertionError("unbounded ray does not improve the objective")

@@ -112,6 +112,8 @@ def as_rational(value) -> Fraction:
             return Fraction(text)
         except ZeroDivisionError:
             raise BoxParseError(f"zero denominator in {value!r}") from None
+        except ValueError as exc:  # beyond the interpreter's int-digit limit
+            raise BoxParseError(f"unparsable rational: {exc}") from None
     if isinstance(value, float):
         raise BoxParseError(
             f"float {value!r} rejected: boxes are exact-rational (use 'num/den')"

@@ -158,30 +158,3 @@ def enumerate_local_vertices() -> tuple[tuple[LocalDetBoxId, BellMarginal], ...]
         out.append((vid, local_det_box(vid)))
     return tuple(out)
 
-
-def is_support_subset(vertex: Box, target: Box) -> bool:
-    """True iff every nonzero entry of ``vertex`` is nonzero in ``target``."""
-    for v_dist, t_dist in zip(vertex.contexts, target.contexts):
-        for v, t in zip(v_dist, t_dist):
-            if v != 0 and t == 0:
-                return False
-    return True
-
-
-def is_bell_support_subset(vertex: BellMarginal, target: BellMarginal) -> bool:
-    """Bell-marginal analogue of :func:`is_support_subset`."""
-    for v_dist, t_dist in zip(vertex.dists, target.dists):
-        for v, t in zip(v_dist, t_dist):
-            if v != 0 and t == 0:
-                return False
-    return True
-
-
-def support_filter(vertices, target: Box):
-    """Vertices whose support is contained in the support of ``target``.
-
-    ``vertices`` is a sequence of boxes; the filtered subsequence is returned
-    in the original order.  Shrinking the target's support never grows the
-    result.
-    """
-    return [v for v in vertices if is_support_subset(v, target)]

@@ -30,6 +30,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_one_error_line(code, out, err):
+    """Exit 2 with nothing on stdout and a one-line ``error:`` message."""
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
 def gen_box_file(tmp_path, capsys, *argv):
     path = tmp_path / "box.json"
     code, out, err = run_cli(capsys, "gen", *argv, "-o", str(path))
@@ -114,6 +122,12 @@ class TestGen:
     def test_bad_invocations_exit_2(self, capsys, argv):
         code, _, _ = run_cli(capsys, *argv)
         assert code == 2
+
+    def test_oversized_parameter_exits_2(self, capsys):
+        # Terms beyond the interpreter's 4300-digit int-string limit.
+        w = "1" * 5001 + "/" + "3" * 5001
+        assert_one_error_line(*run_cli(
+            capsys, "gen", "--family", "noisy-peres", "--W", w))
 
     def test_rationalization_failure_exits_3(self, capsys):
         code, out, err = run_cli(
@@ -218,6 +232,30 @@ class TestAnalyze:
         assert report["noncontextual_model"]["min_dimension"]["status"] == (
             "lower-bound-only"
         )
+
+    @pytest.mark.parametrize("value", ["abc", "-1"])
+    def test_bad_budget_env_var_exits_2(self, tmp_path, capsys, monkeypatch,
+                                        value):
+        path = gen_box_file(tmp_path, capsys, "--family", "noise")
+        monkeypatch.setenv("BOXLAB_BUDGET", value)
+        assert_one_error_line(*run_cli(capsys, "analyze", str(path)))
+
+    def test_negative_budget_flag_exits_2(self, tmp_path, capsys):
+        path = gen_box_file(tmp_path, capsys, "--family", "noise")
+        assert_one_error_line(
+            *run_cli(capsys, "analyze", str(path), "--budget", "-5"))
+
+    def test_oversized_rational_string_exits_2(self, tmp_path, capsys):
+        data = box_to_json_dict(fx.build_box(fx.NOISY_THIRD_TABLE))
+        data["contexts"]["C0"][0] = "1" * 5000 + "/3"
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        assert_one_error_line(*run_cli(capsys, "analyze", str(path)))
+
+    def test_oversized_json_integer_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"contexts": {"C0": [' + "1" * 5000 + "]}}")
+        assert_one_error_line(*run_cli(capsys, "analyze", str(path)))
 
     def test_invalid_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -45,6 +45,7 @@ from boxlab.decompose import (
     product_lhv_terms,
     product_terms_marginal,
 )
+from boxlab.errors import ParameterOutOfRange
 from boxlab.quantum import make_observables, make_state, quantum_box
 from boxlab.scenario import bell_marginal, mix_boxes, validate_bell_marginal
 from boxlab.vertices import det_box, enumerate_local_vertices, enumerate_nc_vertices
@@ -371,6 +372,16 @@ class TestMinNcDimension:
         assert result.decomposition is None
         assert result.filtered_count == 64
         assert result.nodes_used == 0
+
+    @pytest.mark.parametrize("budget", [-5, 5 / 2])
+    def test_budget_must_be_a_nonnegative_integer(self, budget):
+        with pytest.raises(ParameterOutOfRange, match="budget"):
+            min_nc_dimension(noise_box(), budget)
+
+    def test_zero_budget_is_valid(self):
+        result = min_nc_dimension(noise_box(), 0)
+        assert (result.status, result.dimension, result.nodes_used) == (
+            LOWER_BOUND_ONLY, 3, 0)
 
     def test_tiny_budget_reports_lower_bound(self):
         result = min_nc_dimension(noisy_peres_box("1/3"), budget=10)

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 import fixtures as fx
+from boxlab.decompose import _LHV, _NC, _cell_table
 from boxlab.errors import BoxParseError
 from boxlab.scenario import bell_marginal, inequality_lhs, validate_box
 from boxlab.vertices import (
@@ -14,12 +15,9 @@ from boxlab.vertices import (
     det_box,
     enumerate_local_vertices,
     enumerate_nc_vertices,
-    is_bell_support_subset,
-    is_support_subset,
     local_det_box,
     parse_det_label,
     parse_local_label,
-    support_filter,
 )
 
 
@@ -139,29 +137,32 @@ class TestInequalityValues:
 
 
 class TestSupportFiltering:
+    """The cell table keeps exactly the vertices whose support lies inside
+    the target's support, in enumeration order."""
+
     def test_noisy_family_support_set(self):
         noisy = fx.build_box(fx.NOISY_THIRD_TABLE)
-        kept = [vid.label for vid, box in enumerate_nc_vertices()
-                if is_support_subset(box, noisy)]
+        kept = [vid.label for vid in _cell_table(noisy, _NC).ids]
         assert tuple(kept) == tuple(sorted(fx.NOISY_SUPPORT_LABELS_16))
-        boxes_only = [box for _, box in enumerate_nc_vertices()]
-        filtered = support_filter(boxes_only, noisy)
-        assert [box.label for box in filtered] == kept
+        inside = [vid.label for vid, box in enumerate_nc_vertices()
+                  if all(t != 0 for v_dist, t_dist in zip(box.contexts,
+                                                          noisy.contexts)
+                         for v, t in zip(v_dist, t_dist) if v != 0)]
+        assert kept == inside
 
     def test_parity_box_support_is_empty(self):
         # The five perfect-correlation rows cannot all be satisfied by any
         # deterministic assignment, which is exactly why the box is maximally
         # contextual: no vertex can carry weight in a decomposition.
         peres = fx.build_box(fx.PERES_TABLE)
-        boxes_only = [box for _, box in enumerate_nc_vertices()]
-        assert support_filter(boxes_only, peres) == []
+        assert _cell_table(peres, _NC).ids == ()
 
     def test_subset_predicates(self):
         noisy = fx.build_box(fx.NOISY_THIRD_TABLE)
-        inside = det_box(parse_det_label("(0000)(00)"))
-        outside = det_box(parse_det_label("(0001)(00)"))
-        assert is_support_subset(inside, noisy)
-        assert not is_support_subset(outside, noisy)
+        kept = _cell_table(noisy, _NC).ids
+        assert parse_det_label("(0000)(00)") in kept
+        assert parse_det_label("(0001)(00)") not in kept
         marg = bell_marginal(fx.build_box(fx.PERES_TABLE))
-        assert is_bell_support_subset(local_det_box(parse_local_label("0000")), marg)
-        assert not is_bell_support_subset(local_det_box(parse_local_label("0010")), marg)
+        local_kept = _cell_table(marg, _LHV).ids
+        assert parse_local_label("0000") in local_kept
+        assert parse_local_label("0010") not in local_kept
