@@ -23,6 +23,7 @@ from fractions import Fraction
 from .boxes import noise_box, noisy_peres_box, peres_box, uniform_box
 from .decompose import (
     EXACT,
+    _budget_value,
     contextual_fraction,
     min_nc_dimension,
     peres_strength,
@@ -88,45 +89,47 @@ def _json_line(data) -> str:
     return json.dumps(data, sort_keys=True)
 
 
-def _family_box(family: str, w_text: str | None):
-    if family == "noisy-peres":
-        if w_text is None:
-            raise BoxParseError("--family noisy-peres requires --W")
-        return noisy_peres_box(as_rational(w_text))
-    if w_text is not None:
-        raise BoxParseError(f"--W is not a parameter of family {family!r}")
-    return {"peres": peres_box, "noise": noise_box,
-            "uniform": uniform_box}[family]()
-
-
-def _quantum_box(state: str, observables: str, w_text: str | None,
-                 max_denominator: int, tolerance: float):
-    family = state.replace("-", "_")
-    w = None
-    if state == "werner":
-        if w_text is None:
-            raise BoxParseError("--state werner requires --W")
-        w = as_rational(w_text)
-    elif w_text is not None:
-        raise BoxParseError(f"--W is not a parameter of state {state!r}")
-    rho = make_state(family, w)
-    obs = make_observables(observables)
-    return quantum_box(rho, obs, max_denominator=max_denominator,
-                       tolerance=tolerance)
-
-
-def cmd_gen(args) -> int:
+def _source_box(args, w):
+    """The box ``--family`` or ``--state`` names, at parameter ``w``: the
+    ``--W`` text, a sweep's grid point, or None."""
     if (args.family is None) == (args.state is None):
         raise BoxParseError("choose exactly one of --family or --state")
     if args.family is not None:
         if args.observables is not None:
             raise BoxParseError("--observables requires --state")
-        box = _family_box(args.family, args.W)
-    else:
-        if args.observables is None:
-            raise BoxParseError("--state requires --observables")
-        box = _quantum_box(args.state, args.observables, args.W,
-                           args.max_denominator, args.tolerance)
+        if args.family == "noisy-peres":
+            if w is None:
+                raise BoxParseError("--family noisy-peres requires --W")
+            return noisy_peres_box(as_rational(w))
+        if w is not None:
+            raise BoxParseError(
+                f"--W is not a parameter of family {args.family!r}")
+        return {"peres": peres_box, "noise": noise_box,
+                "uniform": uniform_box}[args.family]()
+    if args.observables is None:
+        raise BoxParseError("--state requires --observables")
+    if args.state == "werner":
+        if w is None:
+            raise BoxParseError("--state werner requires --W")
+        w = as_rational(w)
+    elif w is not None:
+        raise BoxParseError(f"--W is not a parameter of state {args.state!r}")
+    rho = make_state(args.state.replace("-", "_"), w)
+    return quantum_box(rho, make_observables(args.observables),
+                       max_denominator=args.max_denominator,
+                       tolerance=args.tolerance)
+
+
+def _csv_text(columns, rows) -> str:
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+def cmd_gen(args) -> int:
+    box = _source_box(args, args.W)
     if args.label is not None:
         box = box.with_label(args.label)
     _write_text(_canonical_json(box_to_json_dict(box)), args.output)
@@ -159,11 +162,8 @@ def cmd_analyze(args) -> int:
         }
         _write_text(_canonical_json(payload), args.output)
     else:
-        buffer = io.StringIO(newline="")
-        writer = csv.writer(buffer)
-        writer.writerow(CSV_COLUMNS)
-        writer.writerow(report_to_csv_row(report))
-        _write_text(buffer.getvalue(), args.output)
+        _write_text(_csv_text(CSV_COLUMNS, [report_to_csv_row(report)]),
+                    args.output)
     return 0
 
 
@@ -214,33 +214,19 @@ def _sweep_row(w: Fraction, box, budget: int | None) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    if (args.family is None) == (args.state is None):
-        raise BoxParseError("choose exactly one of --family or --state")
+    budget = _budget_value(args.budget)
     if args.family is not None and args.family != "noisy-peres":
         raise BoxParseError("only the noisy-peres family has a parameter")
     if args.state is not None and args.state != "werner":
         raise BoxParseError("only the werner state has a parameter")
-    if args.state is not None and args.observables is None:
-        raise BoxParseError("--state requires --observables")
     grid = _sweep_grid(args.sweep_from, args.sweep_to, args.steps)
-    rows = []
-    for w in grid:
-        if args.family is not None:
-            box = noisy_peres_box(w)
-        else:
-            box = _quantum_box("werner", args.observables, format_rational(w),
-                               args.max_denominator, args.tolerance)
-        rows.append(_sweep_row(w, box, args.budget))
+    rows = [_sweep_row(w, _source_box(args, w), budget) for w in grid]
     if args.format == "csv":
-        buffer = io.StringIO(newline="")
-        writer = csv.writer(buffer)
-        writer.writerow(SWEEP_COLUMNS)
-        for row in rows:
-            writer.writerow([row[c] for c in SWEEP_COLUMNS])
-        _write_text(buffer.getvalue(), args.output)
+        text = _csv_text(SWEEP_COLUMNS,
+                         ([row[c] for c in SWEEP_COLUMNS] for row in rows))
     else:
-        lines = "".join(_json_line(row) + "\n" for row in rows)
-        _write_text(lines, args.output)
+        text = "".join(_json_line(row) + "\n" for row in rows)
+    _write_text(text, args.output)
     return 0
 
 

@@ -54,7 +54,7 @@ from .errors import (
     NotNoncontextual,
     ParameterOutOfRange,
 )
-from .exactlp import INFEASIBLE, OPTIMAL, LinearProgram, LPResult, solve
+from .exactlp import INFEASIBLE, OPTIMAL, LinearProgram, solve
 from .scenario import (
     BELL_SETTINGS,
     BellMarginal,
@@ -277,23 +277,12 @@ def _cell_table(target, vs: _VertexSet) -> _CellTable:
                       (1 << len(rhs)) - 1, tuple(counts), cell_index)
 
 
-def _feasibility(columns: Sequence[int], table: _CellTable) -> LPResult:
-    """Exact LP for {q >= 0, per-cell sums = rhs, sum_j q_j = 1} over the
-    candidate ``columns`` (objective 0)."""
-    k = len(columns)
-    eq_rows = [[Fraction((table.colbits[c] >> r) & 1) for c in columns]
-               for r in range(len(table.rhs))]
-    eq_rows.append([_ONE] * k)
-    return solve(LinearProgram(n=k, objective=[_ZERO] * k, maximize=False,
-                               eq_rows=eq_rows, eq_rhs=[*table.rhs, _ONE]))
-
-
 def _solve_cell_system(columns: Sequence[int], table: _CellTable):
     """Exact nonnegative solution of the subset's cell equations, or None.
 
     Solves {q >= 0, sum_j q_j = 1, per-cell sums = rhs} by incremental
-    Gauss-Jordan elimination (abort at the first inconsistent row); when the
-    reduced system is underdetermined, falls back to an exact phase-1 LP.
+    Gauss-Jordan elimination (abort at the first inconsistent row).  An
+    underdetermined system gives None: see the comment at its return.
     """
     k = len(columns)
     n_rows = len(table.rhs)
@@ -331,15 +320,17 @@ def _solve_cell_system(columns: Sequence[int], table: _CellTable):
     if not feed([1] * k + [_ONE]):
         return None
 
-    if len(pivots) == k:
-        q = [_ZERO] * k
-        for pc, prow in pivots:
-            q[pc] = prow[k]
-        return q if all(v >= 0 for v in q) else None
-
-    # Underdetermined: exact feasibility LP over the same equations.
-    result = _feasibility(columns, table)
-    return list(result.x) if result.status == OPTIMAL else None
+    if len(pivots) < k:
+        # Underdetermined: the columns are affinely dependent.  The search
+        # reaches size k only after refuting every smaller support, and a
+        # nonnegative solution here would give one: it has a zero weight, or
+        # moving along a null vector d (sum d = 0) drives a weight to zero.
+        # So no solution exists, and no LP is needed to say so.
+        return None
+    q = [_ZERO] * k
+    for pc, prow in pivots:
+        q[pc] = prow[k]
+    return q if all(v >= 0 for v in q) else None
 
 
 # ---------------------------------------------------------------------------
@@ -347,11 +338,17 @@ def _solve_cell_system(columns: Sequence[int], table: _CellTable):
 # ---------------------------------------------------------------------------
 
 def _membership(target, vs: _VertexSet) -> tuple[bool, Decomposition | None]:
+    """Exact LP for {q >= 0, per-cell sums = rhs, sum_j q_j = 1} over the
+    support-filtered vertices (objective 0), with a witnessing decomposition."""
     table = _cell_table(target, vs)
     m = len(table.ids)
     if m == 0:
         return (False, None)
-    result = _feasibility(range(m), table)
+    eq_rows = [[Fraction((bits >> r) & 1) for bits in table.colbits]
+               for r in range(len(table.rhs))]
+    eq_rows.append([_ONE] * m)
+    result = solve(LinearProgram(n=m, objective=[_ZERO] * m, maximize=False,
+                                 eq_rows=eq_rows, eq_rhs=[*table.rhs, _ONE]))
     if result.status != OPTIMAL:
         return (False, None)
     terms = [(table.ids[j], result.x[j]) for j in range(m) if result.x[j] > 0]

@@ -7,6 +7,16 @@ Every error raised by the library derives from :class:`BoxlabError` so callers
 from __future__ import annotations
 
 
+def _text(value) -> str:
+    """``str(value)``, or its 12-digit decimal when a term of the rational
+    passes the interpreter's digit limit for integer strings."""
+    try:
+        return str(value)
+    except ValueError:
+        from .scenario import rational_to_decimal  # scenario imports this module
+        return rational_to_decimal(value)
+
+
 class BoxlabError(Exception):
     """Base class for all boxlab errors."""
 
@@ -19,7 +29,7 @@ class NegativeEntry(BoxValidationError):
     """A probability entry is negative."""
 
     def __init__(self, context: str, index: int, value) -> None:
-        super().__init__(f"negative entry {value} at {context}[{index}]")
+        super().__init__(f"negative entry {_text(value)} at {context}[{index}]")
         self.context = context
         self.index = index
         self.value = value
@@ -29,7 +39,8 @@ class NotNormalized(BoxValidationError):
     """A context's probabilities do not sum to exactly 1."""
 
     def __init__(self, context: str, total) -> None:
-        super().__init__(f"context {context} sums to {total}, expected 1")
+        super().__init__(
+            f"context {context} sums to {_text(total)}, expected 1")
         self.context = context
         self.total = total
 
@@ -39,7 +50,7 @@ class NoDisturbanceViolation(BoxValidationError):
 
     def __init__(self, observable: str, context_pair: tuple[str, str],
                  left, right) -> None:
-        fmt = lambda pair: "(" + ", ".join(str(p) for p in pair) + ")"
+        fmt = lambda pair: "(" + ", ".join(_text(p) for p in pair) + ")"
         super().__init__(
             f"no-disturbance violation for {observable}: marginal "
             f"{fmt(left)} in {context_pair[0]} vs {fmt(right)} in "

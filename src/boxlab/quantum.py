@@ -32,6 +32,7 @@ from .scenario import (
     CONTEXT_OBSERVABLES,
     CONTEXT_SIZES,
     OUTCOME_ORDERS,
+    as_rational,
     validate_box,
 )
 
@@ -116,7 +117,6 @@ _KET1 = _ket(0, 1)
 
 def _as_float_param(value) -> float:
     if isinstance(value, str):
-        from .scenario import as_rational
         return float(as_rational(value))
     if isinstance(value, (Fraction, int, float)):
         return float(value)
@@ -279,9 +279,14 @@ def rationalize_box(raw: Sequence[Sequence[float]],
     ``max_denominator``.  If any entry misses by ``tolerance`` or more, or the
     snapped box fails exact validation (normalization or no-disturbance),
     raises :class:`NoExactRationalization`.  No renormalization is performed.
+    A ``max_denominator`` below 1, or a ``tolerance`` that is not positive
+    and finite, raises :class:`ParameterOutOfRange`.
     """
     if max_denominator < 1:
         raise ParameterOutOfRange(f"max_denominator must be >= 1")
+    if not 0 < tolerance < math.inf:
+        raise ParameterOutOfRange(
+            f"tolerance must be positive and finite, got {tolerance!r}")
     vectors = [list(dist) for dist in raw]
     if [len(v) for v in vectors] != [CONTEXT_SIZES[c] for c in CONTEXT_IDS]:
         raise NoExactRationalization(

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import decimal
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -122,8 +123,18 @@ def as_rational(value) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Canonical string for a rational: ``'1/3'``, ``'0'``, ``'1'``."""
-    return str(value)
+    """Canonical string for a rational: ``'1/3'``, ``'0'``, ``'1'``.
+
+    Raises :class:`ParameterOutOfRange` when a term has more digits than the
+    interpreter converts to a string (``sys.get_int_max_str_digits()``).
+    """
+    try:
+        return str(value)
+    except ValueError:
+        raise ParameterOutOfRange(
+            f"rational too large to print: a term passes the interpreter's "
+            f"{sys.get_int_max_str_digits()}-digit limit for integer strings"
+        ) from None
 
 
 def rational_to_decimal(value: Fraction, digits: int = 12) -> str:
@@ -159,12 +170,41 @@ class Box:
         return Box(self.contexts, label)
 
 
-def _marginal_from(dist: Sequence[Fraction], context: str, position: int) -> tuple[Fraction, Fraction]:
-    p0 = sum((p for o, p in zip(OUTCOME_ORDERS[context], dist) if o[position] == 0),
-             Fraction(0))
-    p1 = sum((p for o, p in zip(OUTCOME_ORDERS[context], dist) if o[position] == 1),
-             Fraction(0))
+def _marginal_from(dist: Sequence[Fraction], position: int) -> tuple[Fraction, Fraction]:
+    order = _ORDER8 if len(dist) == 8 else _ORDER4
+    p0 = sum((p for o, p in zip(order, dist) if o[position] == 0), Fraction(0))
+    p1 = sum((p for o, p in zip(order, dist) if o[position] == 1), Fraction(0))
     return (p0, p1)
+
+
+def _checked_dists(vectors, names: Sequence[str], sizes: Sequence[int],
+                   hosts: Mapping, noun: str) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact distributions from raw vectors named ``names``, checked for
+    size, nonnegativity, normalization, then no-disturbance over ``hosts``
+    (each observable's two hosting distributions with its outcome position).
+    ``noun`` prefixes a name in the size message."""
+    dists: dict[str, tuple[Fraction, ...]] = {}
+    for name, size, vector in zip(names, sizes, vectors):
+        if isinstance(vector, str) or not isinstance(vector, Iterable):
+            raise BoxParseError(f"{noun}{name} must be a list of entries, "
+                                f"got {type(vector).__name__}")
+        values = tuple(as_rational(v) for v in vector)
+        if len(values) != size:
+            raise BoxParseError(
+                f"{noun}{name} needs {size} entries, got {len(values)}")
+        for index, p in enumerate(values):
+            if p < 0:
+                raise NegativeEntry(name, index, p)
+        total = sum(values)
+        if total != 1:
+            raise NotNormalized(name, total)
+        dists[name] = values
+    for observable, ((name_a, pos_a), (name_b, pos_b)) in hosts.items():
+        left = _marginal_from(dists[name_a], pos_a)
+        right = _marginal_from(dists[name_b], pos_b)
+        if left != right:
+            raise NoDisturbanceViolation(observable, (name_a, name_b), left, right)
+    return tuple(dists.values())
 
 
 def validate_box(raw, label: str | None = None) -> Box:
@@ -187,30 +227,9 @@ def validate_box(raw, label: str | None = None) -> Box:
         vectors = list(raw)
     if len(vectors) != 5:
         raise BoxParseError(f"expected 5 context vectors, got {len(vectors)}")
-
-    dists: list[tuple[Fraction, ...]] = []
-    for context_id, vector in zip(CONTEXT_IDS, vectors):
-        values = tuple(as_rational(v) for v in vector)
-        if len(values) != CONTEXT_SIZES[context_id]:
-            raise BoxParseError(
-                f"context {context_id} needs {CONTEXT_SIZES[context_id]} entries, "
-                f"got {len(values)}"
-            )
-        for index, p in enumerate(values):
-            if p < 0:
-                raise NegativeEntry(context_id, index, p)
-        total = sum(values)
-        if total != 1:
-            raise NotNormalized(context_id, total)
-        dists.append(values)
-
-    box = Box(tuple(dists), label)
-    for observable, ((ctx_a, pos_a), (ctx_b, pos_b)) in OBSERVABLE_HOSTS.items():
-        left = _marginal_from(box.context(ctx_a), ctx_a, pos_a)
-        right = _marginal_from(box.context(ctx_b), ctx_b, pos_b)
-        if left != right:
-            raise NoDisturbanceViolation(observable, (ctx_a, ctx_b), left, right)
-    return box
+    return Box(_checked_dists(vectors, CONTEXT_IDS,
+                              [CONTEXT_SIZES[c] for c in CONTEXT_IDS],
+                              OBSERVABLE_HOSTS, "context "), label)
 
 
 def single_marginal(box: Box, observable: str) -> tuple[Fraction, Fraction]:
@@ -222,7 +241,7 @@ def single_marginal(box: Box, observable: str) -> tuple[Fraction, Fraction]:
     if observable not in OBSERVABLE_HOSTS:
         raise KeyError(f"unknown observable {observable!r}")
     context_id, position = OBSERVABLE_HOSTS[observable][0]
-    return _marginal_from(box.context(context_id), context_id, position)
+    return _marginal_from(box.context(context_id), position)
 
 
 def expectation(box: Box, context_id: str) -> Fraction:
@@ -269,6 +288,15 @@ class BellMarginal:
         return self.dists[2 * x + y]
 
 
+#: Each Bell observable's two hosting distributions with its outcome position.
+_BELL_HOSTS: dict[str, tuple[tuple[str, int], tuple[str, int]]] = {
+    "A0": (("A0B0", 0), ("A0B1", 0)),
+    "A1": (("A1B0", 0), ("A1B1", 0)),
+    "B0": (("A0B0", 1), ("A1B0", 1)),
+    "B1": (("A0B1", 1), ("A1B1", 1)),
+}
+
+
 def validate_bell_marginal(raw, label: str | None = None) -> BellMarginal:
     """Validate four length-4 vectors (order A0B0, A0B1, A1B0, A1B1).
 
@@ -277,43 +305,9 @@ def validate_bell_marginal(raw, label: str | None = None) -> BellMarginal:
     vectors = list(raw)
     if len(vectors) != 4:
         raise BoxParseError(f"expected 4 distributions, got {len(vectors)}")
-    dists: list[tuple[Fraction, ...]] = []
-    for (x, y), vector in zip(BELL_SETTINGS, vectors):
-        values = tuple(as_rational(v) for v in vector)
-        name = f"A{x}B{y}"
-        if len(values) != 4:
-            raise BoxParseError(f"{name} needs 4 entries, got {len(values)}")
-        for index, p in enumerate(values):
-            if p < 0:
-                raise NegativeEntry(name, index, p)
-        total = sum(values)
-        if total != 1:
-            raise NotNormalized(name, total)
-        dists.append(values)
-    marginal = BellMarginal(tuple(dists), label)
-    for x in (0, 1):
-        if _alice_marginal(marginal, x, 0) != _alice_marginal(marginal, x, 1):
-            raise NoDisturbanceViolation(
-                f"A{x}", (f"A{x}B0", f"A{x}B1"),
-                _alice_marginal(marginal, x, 0), _alice_marginal(marginal, x, 1),
-            )
-    for y in (0, 1):
-        if _bob_marginal(marginal, 0, y) != _bob_marginal(marginal, 1, y):
-            raise NoDisturbanceViolation(
-                f"B{y}", (f"A0B{y}", f"A1B{y}"),
-                _bob_marginal(marginal, 0, y), _bob_marginal(marginal, 1, y),
-            )
-    return marginal
-
-
-def _alice_marginal(marginal: BellMarginal, x: int, y: int) -> tuple[Fraction, Fraction]:
-    d = marginal.dist(x, y)
-    return (d[0] + d[1], d[2] + d[3])
-
-
-def _bob_marginal(marginal: BellMarginal, x: int, y: int) -> tuple[Fraction, Fraction]:
-    d = marginal.dist(x, y)
-    return (d[0] + d[2], d[1] + d[3])
+    names = [f"A{x}B{y}" for x, y in BELL_SETTINGS]
+    return BellMarginal(_checked_dists(vectors, names, [4] * 4, _BELL_HOSTS, ""),
+                        label)
 
 
 def bell_marginal(box: Box) -> BellMarginal:
@@ -344,9 +338,9 @@ def bell_correlator(marginal: BellMarginal, x: int, y: int) -> Fraction:
 def bell_single(marginal: BellMarginal, party: str, setting: int) -> Fraction:
     """``<A_x>`` (party 'A') or ``<B_y>`` (party 'B')."""
     if party == "A":
-        p0, p1 = _alice_marginal(marginal, setting, 0)
+        p0, p1 = _marginal_from(marginal.dist(setting, 0), 0)
     elif party == "B":
-        p0, p1 = _bob_marginal(marginal, 0, setting)
+        p0, p1 = _marginal_from(marginal.dist(0, setting), 1)
     else:
         raise KeyError(f"party must be 'A' or 'B', got {party!r}")
     return p0 - p1

@@ -17,22 +17,29 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import BoxParseError
 from .scenario import (
-    BELL_SETTINGS,
     CONTEXT_IDS,
     CONTEXT_SIZES,
     BellMarginal,
     Box,
+    bell_marginal,
     outcome_index,
 )
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _check_bits(vid) -> None:
+    for field in fields(vid):
+        bit = getattr(vid, field.name)
+        if bit not in (0, 1):
+            raise ValueError(f"{field.name} must be 0 or 1, got {bit!r}")
 
 
 @dataclass(frozen=True, order=True)
@@ -46,11 +53,7 @@ class DetBoxId:
     d: int
     e: int
 
-    def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "gamma", "epsilon", "d", "e"):
-            bit = getattr(self, name)
-            if bit not in (0, 1):
-                raise ValueError(f"{name} must be 0 or 1, got {bit!r}")
+    __post_init__ = _check_bits
 
     @property
     def label(self) -> str:
@@ -71,11 +74,7 @@ class LocalDetBoxId:
     gamma: int
     epsilon: int
 
-    def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "gamma", "epsilon"):
-            bit = getattr(self, name)
-            if bit not in (0, 1):
-                raise ValueError(f"{name} must be 0 or 1, got {bit!r}")
+    __post_init__ = _check_bits
 
     @property
     def label(self) -> str:
@@ -127,34 +126,28 @@ def det_box(vid: DetBoxId) -> Box:
     return Box(tuple(dists), vid.label)
 
 
+def local_det_box(vid: LocalDetBoxId) -> BellMarginal:
+    """The deterministic Bell marginal with a_x = alpha*x^beta, b_y = gamma*y^epsilon:
+    the Bell marginal of the deterministic box with the same bits and d = e = 0."""
+    full = det_box(DetBoxId(vid.alpha, vid.beta, vid.gamma, vid.epsilon, 0, 0))
+    return BellMarginal(bell_marginal(full).dists, vid.label)
+
+
+def _enumerate(id_type, build) -> tuple:
+    """``(vid, build(vid))`` for every bit assignment of ``id_type``'s fields,
+    lexicographic."""
+    nbits = len(fields(id_type))
+    vids = (id_type(*bits) for bits in itertools.product((0, 1), repeat=nbits))
+    return tuple((vid, build(vid)) for vid in vids)
+
+
 @lru_cache(maxsize=1)
 def enumerate_nc_vertices() -> tuple[tuple[DetBoxId, Box], ...]:
     """All 64 deterministic boxes, lexicographic in (alpha,beta,gamma,epsilon,d,e)."""
-    out = []
-    for bits in itertools.product((0, 1), repeat=6):
-        vid = DetBoxId(*bits)
-        out.append((vid, det_box(vid)))
-    return tuple(out)
-
-
-def local_det_box(vid: LocalDetBoxId) -> BellMarginal:
-    """The deterministic Bell marginal with a_x = alpha*x^beta, b_y = gamma*y^epsilon."""
-    a = (vid.beta, vid.alpha ^ vid.beta)
-    b = (vid.epsilon, vid.gamma ^ vid.epsilon)
-    dists = []
-    for x, y in BELL_SETTINGS:
-        dist = [_ZERO] * 4
-        dist[2 * a[x] + b[y]] = _ONE
-        dists.append(tuple(dist))
-    return BellMarginal(tuple(dists), vid.label)
+    return _enumerate(DetBoxId, det_box)
 
 
 @lru_cache(maxsize=1)
 def enumerate_local_vertices() -> tuple[tuple[LocalDetBoxId, BellMarginal], ...]:
     """All 16 local deterministic Bell marginals, lexicographic order."""
-    out = []
-    for bits in itertools.product((0, 1), repeat=4):
-        vid = LocalDetBoxId(*bits)
-        out.append((vid, local_det_box(vid)))
-    return tuple(out)
-
+    return _enumerate(LocalDetBoxId, local_det_box)

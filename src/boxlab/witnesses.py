@@ -22,6 +22,7 @@ from .decompose import (
     DimensionResult,
     EXACT,
     Inconclusive,
+    _budget_value,
     bell_local_membership,
     contextual_fraction,
     is_supernoncontextual,
@@ -165,8 +166,10 @@ def classify(box: Box, budget: int | None = None,
 
     ``skip_dims=True`` skips the subset searches (minimal dimensions and the
     supernoncontextual flag); the superlocal flag survives because its
-    product-response test needs no search.
+    product-response test needs no search.  The budget is checked first,
+    whether or not a search runs.
     """
+    budget = _budget_value(budget)
     lhs = inequality_lhs(box)
     fraction = contextual_fraction(box)
     contextual = fraction.cost > 0

@@ -129,6 +129,14 @@ class TestGen:
         assert_one_error_line(*run_cli(
             capsys, "gen", "--family", "noisy-peres", "--W", w))
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
+    def test_unusable_tolerance_exits_2(self, capsys, tolerance):
+        # NaN and infinity would pass every entry: |q - value| >= tolerance
+        # is never true for them.
+        assert_one_error_line(*run_cli(
+            capsys, "gen", "--state", "werner", "--observables", "peres",
+            "--W", "1/10", "--max-denominator", "4", "--tolerance", tolerance))
+
     def test_rationalization_failure_exits_3(self, capsys):
         code, out, err = run_cli(
             capsys, "gen", "--state", "werner", "--observables", "peres",
@@ -245,6 +253,43 @@ class TestAnalyze:
         assert_one_error_line(
             *run_cli(capsys, "analyze", str(path), "--budget", "-5"))
 
+    def test_bad_budget_rejected_without_search(self, tmp_path, capsys,
+                                                monkeypatch):
+        # The budget is checked before any work, even when no search runs.
+        path = gen_box_file(tmp_path, capsys, "--family", "noise")
+        assert_one_error_line(*run_cli(
+            capsys, "analyze", str(path), "--budget", "-5", "--skip-dims"))
+        monkeypatch.setenv("BOXLAB_BUDGET", "abc")
+        assert_one_error_line(*run_cli(
+            capsys, "analyze", str(path), "--skip-dims"))
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_report_past_int_string_limit_exits_2(self, tmp_path, capsys,
+                                                  fmt):
+        # A valid box whose report values (such as Q) have more digits than
+        # the interpreter converts to a string.
+        path = gen_box_file(tmp_path, capsys, "--family", "noisy-peres",
+                            "--W", "1/" + "7" * 3000)
+        code, out, err = run_cli(capsys, "analyze", str(path), "--skip-dims",
+                                 "--format", fmt)
+        assert_one_error_line(code, out, err)
+        assert "4300-digit" in err
+
+    def test_invalid_box_past_int_string_limit_exits_4(self, tmp_path,
+                                                       capsys):
+        # Each entry parses, but their sum has a ~4,700-digit denominator.
+        data = box_to_json_dict(fx.build_box(fx.NOISE_TABLE))
+        data["contexts"]["C4"] = [f"1/{2 ** 3900}", f"1/{3 ** 2450}",
+                                  f"1/{5 ** 1680}", f"1/{7 ** 1390}"]
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert code == 4
+        assert out == ""
+        # The sum is shown to 12 significant digits.
+        assert err == ("error: context C4 sums to 1.12962031036E-1169, "
+                       "expected 1\n")
+
     def test_oversized_rational_string_exits_2(self, tmp_path, capsys):
         data = box_to_json_dict(fx.build_box(fx.NOISY_THIRD_TABLE))
         data["contexts"]["C0"][0] = "1" * 5000 + "/3"
@@ -318,6 +363,20 @@ class TestSweep:
         assert rows[2]["cost"] == "1"
         assert rows[2]["peres_strength"] == "1"
         assert rows[0]["contextual"] == "false"
+
+    def test_observables_with_family_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--family", "noisy-peres", "--observables",
+            "peres", "--from", "0", "--to", "1", "--steps", "2",
+        )
+        assert_one_error_line(code, out, err)
+        assert err == "error: --observables requires --state\n"
+
+    def test_bad_budget_rejected_before_any_point(self, capsys):
+        # Every point of this sweep is contextual, so no search would run.
+        assert_one_error_line(*run_cli(
+            capsys, "sweep", "--family", "noisy-peres", "--from", "1/2",
+            "--to", "1", "--steps", "2", "--budget", "-5"))
 
     @pytest.mark.parametrize(
         "argv",

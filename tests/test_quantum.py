@@ -181,6 +181,14 @@ class TestRationalization:
         box = rationalize_box(raw, max_denominator=12)
         assert box.contexts == noisy_peres_box("1/3").contexts
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), 0.0,
+                                           -1.0])
+    def test_unusable_tolerance_rejected(self, tolerance):
+        raw = box_from_state(make_state("werner", "1/10"),
+                             make_observables("peres"))
+        with pytest.raises(ParameterOutOfRange, match="tolerance"):
+            rationalize_box(raw, max_denominator=4, tolerance=tolerance)
+
 
 class TestSeparableConstruction:
     def test_four_product_terms(self):

@@ -30,6 +30,7 @@ from boxlab.scenario import (
     as_rational,
     rational_to_decimal,
     single_marginal,
+    validate_bell_marginal,
     validate_box,
 )
 from boxlab.vertices import enumerate_nc_vertices
@@ -146,6 +147,73 @@ class TestValidation:
         rows[0] = ["0.5", "0", "0", "0.5"]
         with pytest.raises(BoxParseError):
             validate_box(rows)
+
+
+def _peres_rows(index=None, row=None):
+    rows = [list(r) for r in fx.PERES_TABLE]
+    if index is not None:
+        rows[index] = row
+    return rows
+
+
+_U = ["1/4"] * 4
+
+
+class TestValidationMessages:
+    """The exact exception and message of every check of both validators."""
+
+    @pytest.mark.parametrize("raw, error, message", [
+        (_peres_rows()[:4], BoxParseError,
+         "expected 5 context vectors, got 4"),
+        ({"C0": fx.PERES_TABLE[0], "C1": fx.PERES_TABLE[1]}, BoxParseError,
+         "missing context 'C2' in box data"),
+        (_peres_rows(1, list(fx.PERES_TABLE[1][:6])), BoxParseError,
+         "context C1 needs 8 entries, got 6"),
+        (_peres_rows(2, None), BoxParseError,
+         "context C2 must be a list of entries, got NoneType"),
+        (_peres_rows(3, "1001"), BoxParseError,
+         "context C3 must be a list of entries, got str"),
+        (_peres_rows(0, ["3/4", "-1/4", "0", "1/2"]), NegativeEntry,
+         "negative entry -1/4 at C0[1]"),
+        (_peres_rows(3, ["1/2", "0", "0", "1/4"]), NotNormalized,
+         "context C3 sums to 3/4, expected 1"),
+        (_peres_rows(1, ["1/2", "0", "0", "1/2", "0", "0", "0", "0"]),
+         NoDisturbanceViolation,
+         "no-disturbance violation for D: marginal (1, 0) in C1 vs "
+         "(1/2, 1/2) in C4"),
+    ], ids=["count", "missing", "size", "null", "string", "negative",
+            "normalization", "disturbance"])
+    def test_box_errors(self, raw, error, message):
+        with pytest.raises(error) as info:
+            validate_box(raw)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("raw, error, message", [
+        ([_U, _U, _U], BoxParseError, "expected 4 distributions, got 3"),
+        ([_U, _U, _U, ["1/4"] * 3], BoxParseError,
+         "A1B1 needs 4 entries, got 3"),
+        ([_U, _U, _U, ["1", "-1/2", "1/4", "1/4"]], NegativeEntry,
+         "negative entry -1/2 at A1B1[1]"),
+        ([_U, _U, _U, ["1/4", "1/4", "1/4", "0"]], NotNormalized,
+         "context A1B1 sums to 3/4, expected 1"),
+        ([["1/2", "1/2", "0", "0"], _U, _U, _U], NoDisturbanceViolation,
+         "no-disturbance violation for A0: marginal (1, 0) in A0B0 vs "
+         "(1/2, 1/2) in A0B1"),
+        ([_U, _U, ["1/2", "1/2", "0", "0"], _U], NoDisturbanceViolation,
+         "no-disturbance violation for A1: marginal (1, 0) in A1B0 vs "
+         "(1/2, 1/2) in A1B1"),
+        ([["1/2", "0", "1/2", "0"], _U, _U, _U], NoDisturbanceViolation,
+         "no-disturbance violation for B0: marginal (1, 0) in A0B0 vs "
+         "(1/2, 1/2) in A1B0"),
+        ([_U, ["1/2", "0", "1/2", "0"], _U, _U], NoDisturbanceViolation,
+         "no-disturbance violation for B1: marginal (1, 0) in A0B1 vs "
+         "(1/2, 1/2) in A1B1"),
+    ], ids=["count", "size", "negative", "normalization", "signalling-A0",
+            "signalling-A1", "signalling-B0", "signalling-B1"])
+    def test_bell_marginal_errors(self, raw, error, message):
+        with pytest.raises(error) as info:
+            validate_bell_marginal(raw)
+        assert str(info.value) == message
 
 
 class TestMarginalsAndExpectations:

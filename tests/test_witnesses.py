@@ -9,7 +9,7 @@ import pytest
 import fixtures as fx
 from boxlab.boxes import noise_box, noisy_peres_box, peres_box, uniform_box
 from boxlab.decompose import is_superlocal
-from boxlab.errors import PairNotJoint
+from boxlab.errors import PairNotJoint, ParameterOutOfRange
 from boxlab.scenario import bell_marginal, validate_box
 from boxlab.witnesses import (
     CSV_COLUMNS,
@@ -215,6 +215,10 @@ class TestClassify:
     def test_budget_is_forwarded(self):
         rep = classify(uniform_box(), budget=50)
         assert rep.min_nc_dim.status == "lower-bound-only"
+
+    def test_bad_budget_rejected_without_search(self):
+        with pytest.raises(ParameterOutOfRange, match="budget"):
+            classify(noise_box(), -5, skip_dims=True)
 
 
 class TestReportSerialization:
