@@ -95,8 +95,11 @@ def _source_box(args, w):
     if (args.family is None) == (args.state is None):
         raise BoxParseError("choose exactly one of --family or --state")
     if args.family is not None:
-        if args.observables is not None:
-            raise BoxParseError("--observables requires --state")
+        for flag, value in (("--observables", args.observables),
+                            ("--max-denominator", args.max_denominator),
+                            ("--tolerance", args.tolerance)):
+            if value is not None:
+                raise BoxParseError(f"{flag} requires --state")
         if args.family == "noisy-peres":
             if w is None:
                 raise BoxParseError("--family noisy-peres requires --W")
@@ -115,9 +118,12 @@ def _source_box(args, w):
     elif w is not None:
         raise BoxParseError(f"--W is not a parameter of state {args.state!r}")
     rho = make_state(args.state.replace("-", "_"), w)
-    return quantum_box(rho, make_observables(args.observables),
-                       max_denominator=args.max_denominator,
-                       tolerance=args.tolerance)
+    max_denominator, tolerance = args.max_denominator, args.tolerance
+    return quantum_box(
+        rho, make_observables(args.observables),
+        max_denominator=(DEFAULT_MAX_DENOMINATOR if max_denominator is None
+                         else max_denominator),
+        tolerance=DEFAULT_TOLERANCE if tolerance is None else tolerance)
 
 
 def _csv_text(columns, rows) -> str:
@@ -264,9 +270,8 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--observables", choices=OBSERVABLE_CHOICES)
     gen.add_argument("--W", metavar="RATIONAL",
                      help="parameter for noisy-peres / werner, e.g. 1/3")
-    gen.add_argument("--max-denominator", type=int,
-                     default=DEFAULT_MAX_DENOMINATOR)
-    gen.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    gen.add_argument("--max-denominator", type=int)
+    gen.add_argument("--tolerance", type=float)
     gen.add_argument("--label", help="optional label stored in the JSON")
     gen.add_argument("-o", "--output", help="output file (default stdout)")
     gen.set_defaults(func=cmd_gen)
@@ -292,9 +297,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--steps", type=int, required=True)
     sweep.add_argument("--format", choices=("csv", "json-lines"),
                        default="csv")
-    sweep.add_argument("--max-denominator", type=int,
-                       default=DEFAULT_MAX_DENOMINATOR)
-    sweep.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    sweep.add_argument("--max-denominator", type=int)
+    sweep.add_argument("--tolerance", type=float)
     sweep.add_argument("--budget", type=int)
     sweep.add_argument("-o", "--output")
     sweep.set_defaults(func=cmd_sweep)

@@ -26,12 +26,16 @@ local distributions, under which a hidden value may answer with a biased coin
 (see :func:`product_lhv_terms`).  The two can differ: mixing is free for
 product responses but costs extra hidden values in the deterministic model.
 
-The subset searches are exhaustive with two exact accelerations: a coverage
-presolve (every deterministic vertex puts mass on exactly one cell per
-context, so a feasible support must jointly cover every positive cell of the
-target — a combinatorial infeasibility proof for everything smaller), and a
+The subset searches are exhaustive with three exact accelerations: a
+coverage presolve (every deterministic vertex puts mass on exactly one cell
+per context, so a feasible support must jointly cover every positive cell of
+the target — a combinatorial infeasibility proof for everything smaller), a
 Caratheodory cap (no minimal decomposition can need more than the affine
-dimension of the candidate hull plus one).
+dimension of the candidate hull plus one), and an integer span test (a
+covering support whose columns are dependent, or do not span the target, is
+refuted by fraction-free elimination that reuses the work of the prefix it
+shares with the previous support; only the survivors reach the Fraction
+solve).
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from operator import attrgetter
 from typing import Callable, NamedTuple, Sequence
 
@@ -503,6 +507,77 @@ class DimensionResult:
 _dimension_cache: dict[tuple, DimensionResult] = {}
 
 
+class _SpanFilter:
+    """Integer refutation of supports, reusing each prefix's elimination.
+
+    A support is refuted when its columns (cell indicators plus the sum row)
+    are linearly dependent or the target lies outside their span; in both
+    cases :func:`_solve_cell_system` returns None.  Columns are reduced one at
+    a time by fraction-free (Bareiss) elimination in Python ints, the target
+    scaled by the lcm of its denominators.  The reduced rows and target of
+    every prefix of the last support stay, so a support sharing a prefix with
+    it (the next ``itertools.combinations`` subset does) reduces only its new
+    suffix; a candidate already reduced against a kept prefix resumes from
+    there.  The state lives for one search: at most ``cap`` pivots and
+    targets, and ``cap + 1`` maps of reduced candidates.
+    """
+
+    def __init__(self, table: _CellTable):
+        n_rows = len(table.rhs)
+        scale = lcm(*(p.denominator for p in table.rhs))
+        self._path: list[int] = []   # the last support's reduced prefix
+        # One pivot (column, value, previous pivot value, reduced row) per
+        # independent prefix column; _targets[i] is the target and
+        # _reduced[i][j] candidate j reduced against the first i pivots.
+        self._pivots: list[tuple[int, int, int, list[int]]] = []
+        self._targets = [[p.numerator * (scale // p.denominator)
+                          for p in table.rhs] + [scale]]
+        self._reduced = [{j: [(bits >> r) & 1 for r in range(n_rows)] + [1]
+                          for j, bits in enumerate(table.colbits)}]
+
+    def refutes(self, subset: Sequence[int]) -> bool:
+        """True when the candidates ``subset`` names cannot carry the target
+        with unique weights (dependent columns, or target outside the span)."""
+        path, pivots, targets = self._path, self._pivots, self._targets
+        reduced = self._reduced
+        keep = 0
+        for old, new in zip(path, subset):
+            if old != new:
+                break
+            keep += 1
+        if keep > len(pivots):
+            return True  # the shared prefix already holds a dependent column
+        del path[keep:], pivots[keep:], targets[keep + 1:], reduced[keep + 1:]
+        for j in subset[keep:]:
+            path.append(j)
+            start = len(pivots)
+            while j not in reduced[start]:
+                start -= 1
+            v = reduced[start][j]
+            for level in range(start, len(pivots)):
+                v = _bareiss_step(v, pivots[level])
+                reduced[level + 1][j] = v
+            for pc, x in enumerate(v):
+                if x:
+                    break
+            else:
+                return True  # column j lies in the span of the prefix
+            pivot = (pc, x, pivots[-1][1] if pivots else 1, v)
+            pivots.append(pivot)
+            targets.append(_bareiss_step(targets[-1], pivot))
+            reduced.append({})
+        return any(targets[-1])
+
+
+def _bareiss_step(v: list[int], pivot) -> list[int]:
+    """Clear ``v`` at the pivot's column; the division is exact (Bareiss)."""
+    pc, p, prev, row = pivot
+    f = v[pc]
+    if not f and p == prev:
+        return v  # most steps on 0/1 columns: nothing to clear, p/prev = 1
+    return [(p * x - f * y) // prev for x, y in zip(v, row)]
+
+
 def _min_subset_search(table: _CellTable, budget: int, target,
                        vs: _VertexSet) -> DimensionResult:
     n = len(table.ids)
@@ -513,6 +588,7 @@ def _min_subset_search(table: _CellTable, budget: int, target,
     k_floor = max(table.context_cell_counts)
     nodes = 0
     indices = range(n)
+    span = _SpanFilter(table)
     for k in range(k_floor, cap + 1):
         if nodes + comb(n, k) > budget:
             return DimensionResult(k - 1, LOWER_BOUND_ONLY, None, n, nodes)
@@ -521,7 +597,7 @@ def _min_subset_search(table: _CellTable, budget: int, target,
             mask = 0
             for j in subset:
                 mask |= table.colbits[j]
-            if mask != table.full_mask:
+            if mask != table.full_mask or span.refutes(subset):
                 continue
             q = _solve_cell_system(subset, table)
             if q is None:

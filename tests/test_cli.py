@@ -137,6 +137,18 @@ class TestGen:
             capsys, "gen", "--state", "werner", "--observables", "peres",
             "--W", "1/10", "--max-denominator", "4", "--tolerance", tolerance))
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-denominator", "-3"), ("--tolerance", "nan"),
+        ("--max-denominator", "1000"), ("--tolerance", "1e-9"),
+    ])
+    def test_quantum_only_flag_with_family_exits_2(self, capsys, flag, value):
+        # The flags only steer rationalization of a --state box; with a
+        # --family box they were silently ignored.
+        code, out, err = run_cli(
+            capsys, "gen", "--family", "peres", flag, value)
+        assert_one_error_line(code, out, err)
+        assert err == f"error: {flag} requires --state\n"
+
     def test_rationalization_failure_exits_3(self, capsys):
         code, out, err = run_cli(
             capsys, "gen", "--state", "werner", "--observables", "peres",
@@ -371,6 +383,18 @@ class TestSweep:
         )
         assert_one_error_line(code, out, err)
         assert err == "error: --observables requires --state\n"
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-denominator", "-3"), ("--tolerance", "nan"),
+        ("--max-denominator", "1000"), ("--tolerance", "1e-9"),
+    ])
+    def test_quantum_only_flag_with_family_exits_2(self, capsys, flag, value):
+        code, out, err = run_cli(
+            capsys, "sweep", "--family", "noisy-peres", flag, value,
+            "--from", "0", "--to", "1", "--steps", "2",
+        )
+        assert_one_error_line(code, out, err)
+        assert err == f"error: {flag} requires --state\n"
 
     def test_bad_budget_rejected_before_any_point(self, capsys):
         # Every point of this sweep is contextual, so no search would run.

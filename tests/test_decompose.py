@@ -9,15 +9,20 @@ engine's exact LP or branch-and-bound.
 
 from __future__ import annotations
 
+import itertools
+import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 import fixtures as fx
 import oracles
+from boxlab import decompose
 from boxlab.boxes import noise_box, noisy_peres_box, peres_box, uniform_box
 from boxlab.decompose import (
     DEFAULT_BUDGET,
+    DimensionResult,
     EXACT,
     LHV_VERTEX_SET,
     LOWER_BOUND_ONLY,
@@ -565,3 +570,172 @@ class TestAffineDimensions:
 
     def test_default_budget_is_positive(self):
         assert DEFAULT_BUDGET > 0
+
+
+# ---------------------------------------------------------------------------
+# The subset search: pinned outputs, the reference walk, the span filter
+# ---------------------------------------------------------------------------
+
+NOISY_QUARTER_SUPPORT = ("(0000)(00) (0001)(11) (0010)(10) (0011)(01) "
+                         "(0101)(00) (0110)(01) (0111)(10) (1010)(11) "
+                         "(1111)(11)")
+
+# (box, nodes_used, support labels) of the default-budget NC search; the
+# uniform box (0 nodes, lower bound 7) is pinned in TestMinNcDimension.
+PINNED_NC_SEARCHES = [
+    ("noise", noise_box, 47, "(0000)(00) (0001)(11) (0110)(01) (0111)(10)"),
+    ("noisy-quarter", lambda: noisy_peres_box("1/4"), 38_854,
+     NOISY_QUARTER_SUPPORT),
+    ("noisy-third", lambda: noisy_peres_box("1/3"), 28_987,
+     "(0000)(00) (0010)(10) (0011)(01) (0101)(00) (0110)(01) (0111)(10) "
+     "(1010)(11) (1111)(11)"),
+]
+
+# Large coprime (Mersenne prime) denominators for mixture weights, so the
+# span filter's lcm scaling meets big integers.
+MERSENNE_PRIMES = tuple(2 ** p - 1 for p in
+                        (13, 17, 19, 31, 61, 89, 107, 127, 521, 607, 1279))
+
+# LHV mixtures stop at 10 terms: on 11 and 12 the reference walk alone takes
+# seconds (thousands of Fraction solves).
+REFERENCE_MIXTURES = [
+    *((decompose._NC, size) for size in range(2, 13)),
+    *((decompose._LHV, size) for size in range(2, 11)),
+]
+
+
+def labels(result):
+    return " ".join(vid.label for vid in result.decomposition.support())
+
+
+def reference_search(table, budget, target, vs):
+    """The level walk without the span filter: every covering subset, in
+    ``itertools.combinations`` order, goes to the Fraction solve."""
+    n = len(table.ids)
+    cap = min(n, decompose._table_rank(table) + 1)
+    nodes = 0
+    for k in range(max(table.context_cell_counts), cap + 1):
+        if nodes + comb(n, k) > budget:
+            return DimensionResult(k - 1, LOWER_BOUND_ONLY, None, n, nodes)
+        for subset in itertools.combinations(range(n), k):
+            nodes += 1
+            mask = 0
+            for j in subset:
+                mask |= table.colbits[j]
+            if mask != table.full_mask:
+                continue
+            q = decompose._solve_cell_system(subset, table)
+            if q is not None:
+                terms = [(table.ids[j], w) for j, w in zip(subset, q)]
+                return DimensionResult(
+                    k, EXACT, decompose._decomposition(terms, target, vs),
+                    n, nodes)
+    raise AssertionError("no decomposition within the Caratheodory cap")
+
+
+def random_mixture(rng, vs, size, big):
+    """A mixture of ``size`` distinct random vertices of ``vs``; with
+    ``big``, every weight but the last has a distinct Mersenne-prime
+    denominator."""
+    ids = rng.sample([vid for vid, _ in vs.vertices()], size)
+    if big:
+        weights = [Fraction(rng.randint(1, d // (2 * size)), d)
+                   for d in MERSENNE_PRIMES[:size - 1]]
+    else:
+        weights = [Fraction(rng.randint(1, 9), 10 * size)
+                   for _ in range(size - 1)]
+    weights.append(1 - sum(weights))
+    return decompose._mix(list(zip(ids, weights)), vs)
+
+
+class TestPinnedSearches:
+    @pytest.mark.parametrize(
+        "make_box, nodes, support",
+        [case[1:] for case in PINNED_NC_SEARCHES],
+        ids=[case[0] for case in PINNED_NC_SEARCHES],
+    )
+    def test_nc_nodes_and_support(self, make_box, nodes, support):
+        result = min_nc_dimension(make_box())
+        assert result.status == EXACT
+        assert result.nodes_used == nodes
+        assert labels(result) == support
+
+    def test_lhv_on_noisy_quarter_marginal(self):
+        result = min_lhv_dimension(bell_marginal(noisy_peres_box("1/4")))
+        assert (result.dimension, result.status, result.nodes_used) == (
+            6, EXACT, 6_729)
+        assert labels(result) == "0000 0001 0100 0101 1010 1111"
+
+    def test_span_filter_spares_the_solves(self, monkeypatch):
+        # Without the filter this search makes 9,170 Fraction solves; a
+        # timing test would not reliably notice the filter going missing.
+        calls = []
+        solve_cells = decompose._solve_cell_system
+
+        def counting(columns, table):
+            calls.append(columns)
+            return solve_cells(columns, table)
+
+        monkeypatch.setattr(decompose, "_dimension_cache", {})
+        monkeypatch.setattr(decompose, "_solve_cell_system", counting)
+        result = min_nc_dimension(noisy_peres_box("1/4"))
+        assert labels(result) == NOISY_QUARTER_SUPPORT
+        assert 0 < len(calls) <= 200
+
+
+class TestSearchMatchesReferenceWalk:
+    @pytest.mark.parametrize("vs, size", REFERENCE_MIXTURES,
+                             ids=[f"{vs.name}-{size}"
+                                  for vs, size in REFERENCE_MIXTURES])
+    def test_random_mixtures(self, vs, size):
+        rng = random.Random(f"{vs.name}-{size}")
+        target = random_mixture(rng, vs, size, big=size % 2 == 1)
+        table = decompose._cell_table(target, vs)
+        for budget in (0, 2_000, 200_000):
+            expected = reference_search(table, budget, target, vs)
+            assert decompose._min_subset_search(
+                table, budget, target, vs) == expected, budget
+
+    @pytest.mark.parametrize("vs, target, max_size", [
+        (decompose._NC, noise_box(), 3),
+        (decompose._LHV, bell_marginal(noisy_peres_box("1/4")), 3),
+        (decompose._LHV, random_mixture(random.Random(7), decompose._LHV,
+                                        6, big=True), 5),
+    ], ids=["noise", "noisy-quarter-marginal", "big-denominators"])
+    def test_span_filter_refutes_exactly_the_rank_failures(
+            self, vs, target, max_size):
+        assert_span_filter_matches_ranks(decompose._cell_table(target, vs),
+                                         max_size)
+
+    # Vertex columns rarely give a Bareiss pivot other than +-1; dense
+    # random 0/1 columns often do.  On these two seeds a wrong divisor or a
+    # skipped rescaling turns a verdict.
+    @pytest.mark.parametrize("seed", [2, 7])
+    def test_span_filter_on_random_dense_columns(self, seed):
+        rng = random.Random(seed)
+        colbits = tuple(rng.randrange(1, 1 << 8) for _ in range(10))
+        weights = [Fraction(rng.randint(1, 50), 200) for _ in range(3)]
+        weights.append(1 - sum(weights))
+        mixed = [colbits[j] for j in rng.sample(range(10), 4)]
+        rhs = tuple(sum((w for w, bits in zip(weights, mixed)
+                         if bits >> r & 1), Fraction(0)) for r in range(8))
+        table = decompose._CellTable(tuple(range(10)), colbits, rhs,
+                                     (1 << 8) - 1, (), {})
+        assert_span_filter_matches_ranks(table, 5)
+
+
+def assert_span_filter_matches_ranks(table, max_size):
+    """Feed every subset up to ``max_size`` in combinations order, covering or
+    not, so that the reused prefixes meet dependent columns and changes at
+    every depth; the filter must refute exactly the rank failures."""
+    span = decompose._SpanFilter(table)
+    n_rows = len(table.rhs)
+    columns = [[(bits >> r) & 1 for r in range(n_rows)] + [1]
+               for bits in table.colbits]
+    rhs = [*table.rhs, 1]
+    for k in range(1, max_size + 1):
+        for subset in itertools.combinations(range(len(table.ids)), k):
+            cols = [columns[j] for j in subset]
+            rank = decompose._exact_rank(cols)
+            spans = decompose._exact_rank(cols + [rhs]) == rank
+            assert span.refutes(subset) == (rank < k or not spans), subset
