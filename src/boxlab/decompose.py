@@ -34,8 +34,10 @@ Caratheodory cap (no minimal decomposition can need more than the affine
 dimension of the candidate hull plus one), and an integer span test (a
 covering support whose columns are dependent, or do not span the target, is
 refuted by fraction-free elimination that reuses the work of the prefix it
-shares with the previous support; only the survivors reach the Fraction
-solve).
+shares with the previous support).  One integer eliminator serves the span
+test, the survivors' weights (back-substituted in integers; ``Fraction``
+appears only in the final quotients) and the ranks behind the cap and the
+affine dimensions.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ def _budget_value(budget: int | None) -> int:
         value = int(budget)
     except (TypeError, ValueError):
         value = None
-    if value is None or value < 0 or (
+    if value is None or value < 0 or isinstance(budget, bool) or (
             not isinstance(budget, str) and value != budget):
         raise ParameterOutOfRange(
             f"budget must be a nonnegative integer, got {budget!r}")
@@ -279,62 +281,6 @@ def _cell_table(target, vs: _VertexSet) -> _CellTable:
             colbits.append(bits)
     return _CellTable(tuple(ids), tuple(colbits), tuple(rhs),
                       (1 << len(rhs)) - 1, tuple(counts), cell_index)
-
-
-def _solve_cell_system(columns: Sequence[int], table: _CellTable):
-    """Exact nonnegative solution of the subset's cell equations, or None.
-
-    Solves {q >= 0, sum_j q_j = 1, per-cell sums = rhs} by incremental
-    Gauss-Jordan elimination (abort at the first inconsistent row).  An
-    underdetermined system gives None: see the comment at its return.
-    """
-    k = len(columns)
-    n_rows = len(table.rhs)
-    # Gauss-Jordan on augmented rows [coeffs..., rhs].
-    pivots: list[tuple[int, list]] = []
-
-    def feed(aug: list) -> bool:
-        """Reduce one augmented equation; False signals inconsistency."""
-        for pc, prow in pivots:
-            f = aug[pc]
-            if f:
-                for idx in range(k + 1):
-                    if prow[idx]:
-                        aug[idx] -= f * prow[idx]
-        pivot_col = next((idx for idx in range(k) if aug[idx]), None)
-        if pivot_col is None:
-            return aug[k] == 0
-        if aug[pivot_col] != 1:
-            inv = Fraction(1, 1) / aug[pivot_col]
-            aug = [c * inv for c in aug]
-        for pc, prow in pivots:
-            f = prow[pivot_col]
-            if f:
-                for idx in range(k + 1):
-                    if aug[idx]:
-                        prow[idx] -= f * aug[idx]
-        pivots.append((pivot_col, aug))
-        return True
-
-    for r in range(n_rows):
-        coeffs = [(table.colbits[c] >> r) & 1 for c in columns]
-        coeffs.append(table.rhs[r])
-        if not feed(coeffs):
-            return None
-    if not feed([1] * k + [_ONE]):
-        return None
-
-    if len(pivots) < k:
-        # Underdetermined: the columns are affinely dependent.  The search
-        # reaches size k only after refuting every smaller support, and a
-        # nonnegative solution here would give one: it has a zero weight, or
-        # moving along a null vector d (sum d = 0) drives a weight to zero.
-        # So no solution exists, and no LP is needed to say so.
-        return None
-    q = [_ZERO] * k
-    for pc, prow in pivots:
-        q[pc] = prow[k]
-    return q if all(v >= 0 for v in q) else None
 
 
 # ---------------------------------------------------------------------------
@@ -511,28 +457,32 @@ class _SpanFilter:
     """Integer refutation of supports, reusing each prefix's elimination.
 
     A support is refuted when its columns (cell indicators plus the sum row)
-    are linearly dependent or the target lies outside their span; in both
-    cases :func:`_solve_cell_system` returns None.  Columns are reduced one at
-    a time by fraction-free (Bareiss) elimination in Python ints, the target
-    scaled by the lcm of its denominators.  The reduced rows and target of
-    every prefix of the last support stay, so a support sharing a prefix with
-    it (the next ``itertools.combinations`` subset does) reduces only its new
-    suffix; a candidate already reduced against a kept prefix resumes from
-    there.  The state lives for one search: at most ``cap`` pivots and
-    targets, and ``cap + 1`` maps of reduced candidates.
+    are linearly dependent or the target lies outside their span; otherwise
+    it has unique weights (:meth:`weights`).  Refuting dependent columns is
+    exact in the level search: it reaches size k only after refuting every
+    smaller support, and a nonnegative solution on dependent columns would
+    give one (moving along a null vector drives a weight to zero).  Columns
+    are reduced one at a time by fraction-free (Bareiss) elimination in
+    Python ints, the target scaled by the lcm of its denominators.  The
+    reduced rows and target of every prefix of the last support stay, so a
+    support sharing a prefix with it (the next ``itertools.combinations``
+    subset does) reduces only its new suffix; a candidate already reduced
+    against a kept prefix resumes from there.  The state lives for one
+    search: at most ``cap`` pivots and targets, and ``cap + 1`` maps of
+    reduced candidates.
     """
 
     def __init__(self, table: _CellTable):
         n_rows = len(table.rhs)
-        scale = lcm(*(p.denominator for p in table.rhs))
         self._path: list[int] = []   # the last support's reduced prefix
         # One pivot (column, value, previous pivot value, reduced row) per
         # independent prefix column; _targets[i] is the target and
         # _reduced[i][j] candidate j reduced against the first i pivots.
         self._pivots: list[tuple[int, int, int, list[int]]] = []
+        scale = lcm(*[p.denominator for p in table.rhs])
         self._targets = [[p.numerator * (scale // p.denominator)
                           for p in table.rhs] + [scale]]
-        self._reduced = [{j: [(bits >> r) & 1 for r in range(n_rows)] + [1]
+        self._reduced = [{j: _cell_column(bits, n_rows)
                           for j, bits in enumerate(table.colbits)}]
 
     def refutes(self, subset: Sequence[int]) -> bool:
@@ -568,6 +518,31 @@ class _SpanFilter:
             reduced.append({})
         return any(targets[-1])
 
+    def weights(self, subset: Sequence[int]) -> list[Fraction]:
+        """The unique weights of a support that :meth:`refutes` passed.
+
+        Its columns are independent and span the target, so the integer
+        system (cell rows and the sum row, target scaled) echelons to one
+        pivot per column and the rows past the last pivot add nothing.  The
+        last pivot value d is the determinant of the pivot rows, so by
+        Cramer's rule d times each scaled weight is an integer, and
+        back-substitution in those integers divides exactly.
+        """
+        columns = [self._reduced[0][j] for j in subset]
+        target = self._targets[0]
+        pivots = _echelon([list(row) for row in zip(*columns, target)],
+                          len(subset))
+        d = pivots[-1][1]
+        x = [0] * len(subset)
+        for pc, p, _, row in reversed(pivots):
+            x[pc] = (d * row[-1] - sum(a * b for a, b in zip(row, x))) // p
+        return [Fraction(v, d * target[-1]) for v in x]
+
+
+def _cell_column(bits: int, n_rows: int) -> list[int]:
+    """A candidate's 0/1 cell indicators followed by its 1 in the sum row."""
+    return [(bits >> r) & 1 for r in range(n_rows)] + [1]
+
 
 def _bareiss_step(v: list[int], pivot) -> list[int]:
     """Clear ``v`` at the pivot's column; the division is exact (Bareiss)."""
@@ -576,6 +551,28 @@ def _bareiss_step(v: list[int], pivot) -> list[int]:
     if not f and p == prev:
         return v  # most steps on 0/1 columns: nothing to clear, p/prev = 1
     return [(p * x - f * y) // prev for x, y in zip(v, row)]
+
+
+def _echelon(rows, rank: int | None = None
+             ) -> list[tuple[int, int, int, list[int]]]:
+    """Fraction-free (Bareiss) forward elimination of integer rows.
+
+    Each row is reduced against the pivots before it and, unless cleared,
+    becomes the next pivot (column, value, previous pivot value, row) in the
+    form :class:`_SpanFilter` keeps, zero at every earlier pivot's column; so
+    the pivots count the rank.  A known ``rank`` stops the walk at that many
+    pivots.  The rows must hold ints: the exact division is floor division.
+    """
+    pivots: list[tuple[int, int, int, list[int]]] = []
+    for v in rows:
+        if len(pivots) == rank:
+            break
+        for pivot in pivots:
+            v = _bareiss_step(v, pivot)
+        pc = next((c for c, x in enumerate(v) if x), None)
+        if pc is not None:
+            pivots.append((pc, v[pc], pivots[-1][1] if pivots else 1, v))
+    return pivots
 
 
 def _min_subset_search(table: _CellTable, budget: int, target,
@@ -599,10 +596,12 @@ def _min_subset_search(table: _CellTable, budget: int, target,
                 mask |= table.colbits[j]
             if mask != table.full_mask or span.refutes(subset):
                 continue
-            q = _solve_cell_system(subset, table)
-            if q is None:
+            q = span.weights(subset)
+            if any(w < 0 for w in q):
                 continue
-            if not all(w > 0 for w in q):
+            if not all(q):
+                # A nonnegative solution with a zero weight is a smaller
+                # support, and every smaller support is refuted by now.
                 raise AssertionError(
                     "smaller support escaped the refuted levels")
             terms = [(table.ids[j], w) for j, w in zip(subset, q)]
@@ -612,37 +611,19 @@ def _min_subset_search(table: _CellTable, budget: int, target,
         f"no decomposition within the Caratheodory cap {cap} ({vs.name})")
 
 
+def _affine_rank(vectors) -> int:
+    """Exact affine rank of integer vectors (the dimension of their hull)."""
+    if not vectors:
+        return 0
+    base = vectors[0]
+    return len(_echelon([[a - b for a, b in zip(v, base)]
+                         for v in vectors[1:]]))
+
+
 def _table_rank(table: _CellTable) -> int:
     """Exact affine rank of the candidate set (dimension of its hull)."""
-    n = len(table.ids)
-    if n == 0:
-        return 0
-    n_rows = len(table.rhs)
-    base = [(table.colbits[0] >> r) & 1 for r in range(n_rows)]
-    rows = []
-    for j in range(1, n):
-        rows.append([((table.colbits[j] >> r) & 1) - base[r]
-                     for r in range(n_rows)])
-    return _exact_rank(rows)
-
-
-def _exact_rank(rows: list[list]) -> int:
-    pivots: list[tuple[int, list]] = []
-    width = len(rows[0]) if rows else 0
-    for row in rows:
-        row = [Fraction(v) for v in row]
-        for pc, prow in pivots:
-            f = row[pc]
-            if f:
-                for idx in range(width):
-                    if prow[idx]:
-                        row[idx] -= f * prow[idx]
-        pivot_col = next((idx for idx in range(width) if row[idx]), None)
-        if pivot_col is None:
-            continue
-        inv = 1 / row[pivot_col]
-        pivots.append((pivot_col, [v * inv for v in row]))
-    return len(pivots)
+    return _affine_rank([_cell_column(bits, len(table.rhs))
+                         for bits in table.colbits])
 
 
 def _min_dimension(target, budget: int | None, vs: _VertexSet, membership,
@@ -818,11 +799,8 @@ def is_superlocal(marginal: BellMarginal, budget: int | None = None
 
 @lru_cache(maxsize=None)
 def _affine_dimension(vs: _VertexSet) -> int:
-    vertices = [tuple(p for dist in vs.dists(v) for p in dist)
-                for _, v in vs.vertices()]
-    base = vertices[0]
-    rows = [[int(a - b) for a, b in zip(v, base)] for v in vertices[1:]]
-    return _exact_rank(rows)
+    return _affine_rank([[int(p) for dist in vs.dists(v) for p in dist]
+                         for _, v in vs.vertices()])
 
 
 def nc_affine_dimension() -> int:

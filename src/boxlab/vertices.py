@@ -82,25 +82,28 @@ class LocalDetBoxId:
 
 
 _DET_LABEL_RE = re.compile(r"^\(([01]{4})\)\(([01]{2})\)$")
-_LOCAL_LABEL_RE = re.compile(r"^[01]{4}$")
+_LOCAL_LABEL_RE = re.compile(r"^([01]{4})$")
+
+
+def _label_bits(pattern: re.Pattern, label, noun: str, form: str) -> list[int]:
+    """The bits of a label ``pattern`` matches; :class:`BoxParseError` for
+    anything else, a non-string included."""
+    match = pattern.match(label.strip()) if isinstance(label, str) else None
+    if not match:
+        raise BoxParseError(f"bad {noun} {label!r}, expected '{form}'")
+    return [int(bit) for bit in "".join(match.groups())]
 
 
 def parse_det_label(label: str) -> DetBoxId:
     """Inverse of :attr:`DetBoxId.label`."""
-    match = _DET_LABEL_RE.match(label.strip())
-    if not match:
-        raise BoxParseError(f"bad vertex label {label!r}, expected '(abge)(de)'")
-    bits, de = match.groups()
-    return DetBoxId(int(bits[0]), int(bits[1]), int(bits[2]), int(bits[3]),
-                    int(de[0]), int(de[1]))
+    return DetBoxId(*_label_bits(_DET_LABEL_RE, label, "vertex label",
+                                 "(abge)(de)"))
 
 
 def parse_local_label(label: str) -> LocalDetBoxId:
     """Inverse of :attr:`LocalDetBoxId.label`."""
-    text = label.strip()
-    if not _LOCAL_LABEL_RE.match(text):
-        raise BoxParseError(f"bad local vertex label {label!r}, expected 'abge'")
-    return LocalDetBoxId(int(text[0]), int(text[1]), int(text[2]), int(text[3]))
+    return LocalDetBoxId(*_label_bits(_LOCAL_LABEL_RE, label,
+                                      "local vertex label", "abge"))
 
 
 def _det_outcomes(vid: DetBoxId) -> dict[str, tuple[int, ...]]:

@@ -50,7 +50,7 @@ from boxlab.decompose import (
     product_lhv_terms,
     product_terms_marginal,
 )
-from boxlab.errors import ParameterOutOfRange
+from boxlab.errors import BoxParseError, ParameterOutOfRange
 from boxlab.quantum import make_observables, make_state, quantum_box
 from boxlab.scenario import bell_marginal, mix_boxes, validate_bell_marginal
 from boxlab.vertices import det_box, enumerate_local_vertices, enumerate_nc_vertices
@@ -242,6 +242,13 @@ class TestDecompositionJson:
         with pytest.raises(ValueError, match="duplicate"):
             decomposition_from_json(data, noise_box())
 
+    @pytest.mark.parametrize("label", [5, None])
+    @pytest.mark.parametrize("target", [
+        noise_box(), bell_marginal(noise_box())], ids=["box", "marginal"])
+    def test_from_json_rejects_non_string_labels(self, target, label):
+        with pytest.raises(BoxParseError, match="bad .*vertex label"):
+            decomposition_from_json([{"vertex": label, "weight": "1"}], target)
+
 
 class TestContextualFraction:
     def test_parity_box_is_fully_contextual(self):
@@ -378,7 +385,7 @@ class TestMinNcDimension:
         assert result.filtered_count == 64
         assert result.nodes_used == 0
 
-    @pytest.mark.parametrize("budget", [-5, 5 / 2])
+    @pytest.mark.parametrize("budget", [-5, 5 / 2, True])
     def test_budget_must_be_a_nonnegative_integer(self, budget):
         with pytest.raises(ParameterOutOfRange, match="budget"):
             min_nc_dimension(noise_box(), budget)
@@ -568,6 +575,19 @@ class TestAffineDimensions:
         assert oracles.exact_affine_rank(vectors) == 8
         assert oracles.float_affine_rank(vectors) == 8
 
+    # Entries beyond 0/1 give Bareiss pivots other than +-1; nine vectors of
+    # length 7 have dependent differences.
+    @pytest.mark.parametrize("seed", range(4))
+    def test_affine_rank_of_random_integer_vectors(self, seed):
+        rng = random.Random(seed)
+        vectors = [[rng.randint(-3, 3) for _ in range(7)] for _ in range(5)]
+        for _ in range(4):
+            a, b = rng.sample(vectors, 2)
+            c = rng.randint(-2, 2)
+            vectors.append([x + c * y for x, y in zip(a, b)])
+        assert (decompose._affine_rank(vectors)
+                == oracles.exact_affine_rank(vectors))
+
     def test_default_budget_is_positive(self):
         assert DEFAULT_BUDGET > 0
 
@@ -608,11 +628,58 @@ def labels(result):
     return " ".join(vid.label for vid in result.decomposition.support())
 
 
+def cell_system(table):
+    """The support-independent parts of the cell equations: each candidate's
+    column (0/1 cell indicators, then 1 for the sum row) and the right-hand
+    side (the target's cell values, then 1)."""
+    n_rows = len(table.rhs)
+    columns = [[(bits >> r) & 1 for r in range(n_rows)] + [1]
+               for bits in table.colbits]
+    return columns, [*table.rhs, Fraction(1)]
+
+
+def fraction_solve(columns, rhs):
+    """The unique q with sum_j q[j] * columns[j] == rhs, or None.
+
+    Gauss-Jordan over Fractions, one equation at a time, stopping at the
+    first inconsistent one; None also when the columns are dependent.  The
+    signs of q are left to the caller."""
+    k = len(columns)
+    pivots = []  # (column, equation scaled to 1 there)
+    for r, b in enumerate(rhs):
+        row = [col[r] for col in columns] + [b]
+        for pc, prow in pivots:
+            f = row[pc]
+            if f:
+                row = [x - f * y if y else x for x, y in zip(row, prow)]
+        pc = next((c for c in range(k) if row[c]), None)
+        if pc is None:
+            if row[k]:
+                return None
+            continue
+        if row[pc] != 1:
+            inv = 1 / Fraction(row[pc])
+            row = [x * inv for x in row]
+        for i, (qc, prow) in enumerate(pivots):
+            f = prow[pc]
+            if f:
+                pivots[i] = (qc, [x - f * y if y else x
+                                  for x, y in zip(prow, row)])
+        pivots.append((pc, row))
+    if len(pivots) < k:
+        return None
+    q = [None] * k
+    for pc, prow in pivots:
+        q[pc] = prow[k]
+    return q
+
+
 def reference_search(table, budget, target, vs):
     """The level walk without the span filter: every covering subset, in
     ``itertools.combinations`` order, goes to the Fraction solve."""
     n = len(table.ids)
     cap = min(n, decompose._table_rank(table) + 1)
+    columns, rhs = cell_system(table)
     nodes = 0
     for k in range(max(table.context_cell_counts), cap + 1):
         if nodes + comb(n, k) > budget:
@@ -624,8 +691,8 @@ def reference_search(table, budget, target, vs):
                 mask |= table.colbits[j]
             if mask != table.full_mask:
                 continue
-            q = decompose._solve_cell_system(subset, table)
-            if q is not None:
+            q = fraction_solve([columns[j] for j in subset], rhs)
+            if q is not None and all(w >= 0 for w in q):
                 terms = [(table.ids[j], w) for j, w in zip(subset, q)]
                 return DimensionResult(
                     k, EXACT, decompose._decomposition(terms, target, vs),
@@ -667,17 +734,18 @@ class TestPinnedSearches:
         assert labels(result) == "0000 0001 0100 0101 1010 1111"
 
     def test_span_filter_spares_the_solves(self, monkeypatch):
-        # Without the filter this search makes 9,170 Fraction solves; a
-        # timing test would not reliably notice the filter going missing.
+        # Without the filter all 9,170 covering supports of this search reach
+        # the weights routine; a timing test would not reliably notice the
+        # filter going missing.
         calls = []
-        solve_cells = decompose._solve_cell_system
+        weights = decompose._SpanFilter.weights
 
-        def counting(columns, table):
-            calls.append(columns)
-            return solve_cells(columns, table)
+        def counting(span, subset):
+            calls.append(subset)
+            return weights(span, subset)
 
         monkeypatch.setattr(decompose, "_dimension_cache", {})
-        monkeypatch.setattr(decompose, "_solve_cell_system", counting)
+        monkeypatch.setattr(decompose._SpanFilter, "weights", counting)
         result = min_nc_dimension(noisy_peres_box("1/4"))
         assert labels(result) == NOISY_QUARTER_SUPPORT
         assert 0 < len(calls) <= 200
@@ -717,25 +785,41 @@ class TestSearchMatchesReferenceWalk:
         weights = [Fraction(rng.randint(1, 50), 200) for _ in range(3)]
         weights.append(1 - sum(weights))
         mixed = [colbits[j] for j in rng.sample(range(10), 4)]
-        rhs = tuple(sum((w for w, bits in zip(weights, mixed)
-                         if bits >> r & 1), Fraction(0)) for r in range(8))
-        table = decompose._CellTable(tuple(range(10)), colbits, rhs,
-                                     (1 << 8) - 1, (), {})
+        assert_span_filter_matches_ranks(
+            bits_table(colbits, mixed, weights, 8), 5)
+
+    # The weights' denominator 10 is finer than the target's 5, so the scaled
+    # weights are not integers: the integer back-substitution must divide by
+    # the pivot determinant (-2 here), not merely by the scale.
+    def test_weights_finer_than_the_target(self):
+        colbits = (62, 18, 25, 38, 10)
+        weights = [Fraction(3, 10), Fraction(1, 10), Fraction(1, 5),
+                   Fraction(3, 10), Fraction(1, 10)]
+        table = bits_table(colbits, colbits, weights, 6)
+        span = decompose._SpanFilter(table)
+        assert span.weights((0, 1, 2, 3, 4)) == weights
         assert_span_filter_matches_ranks(table, 5)
+
+
+def bits_table(colbits, mixed, weights, n_rows):
+    """A cell table over ``n_rows`` cells whose candidates are ``colbits`` and
+    whose target mixes the columns ``mixed`` with ``weights``."""
+    rhs = tuple(sum((w for w, bits in zip(weights, mixed) if bits >> r & 1),
+                    Fraction(0)) for r in range(n_rows))
+    return decompose._CellTable(tuple(range(len(colbits))), colbits, rhs,
+                                (1 << n_rows) - 1, (), {})
 
 
 def assert_span_filter_matches_ranks(table, max_size):
     """Feed every subset up to ``max_size`` in combinations order, covering or
     not, so that the reused prefixes meet dependent columns and changes at
-    every depth; the filter must refute exactly the rank failures."""
+    every depth; the filter must refute exactly the rank failures, and every
+    other subset's weights must be the Fraction solve's."""
     span = decompose._SpanFilter(table)
-    n_rows = len(table.rhs)
-    columns = [[(bits >> r) & 1 for r in range(n_rows)] + [1]
-               for bits in table.colbits]
-    rhs = [*table.rhs, 1]
+    columns, rhs = cell_system(table)
     for k in range(1, max_size + 1):
         for subset in itertools.combinations(range(len(table.ids)), k):
-            cols = [columns[j] for j in subset]
-            rank = decompose._exact_rank(cols)
-            spans = decompose._exact_rank(cols + [rhs]) == rank
-            assert span.refutes(subset) == (rank < k or not spans), subset
+            q = fraction_solve([columns[j] for j in subset], rhs)
+            assert span.refutes(subset) == (q is None), subset
+            if q is not None:
+                assert span.weights(subset) == q, subset

@@ -92,13 +92,13 @@ class TestLabels:
 
     @pytest.mark.parametrize("bad", [
         "0000(00)", "(0000)00", "(000)(00)", "(0002)(00)", "(0000)(2)",
-        "(0000)(000)", "", "(0000)",
+        "(0000)(000)", "", "(0000)", 5, None,
     ])
     def test_bad_full_labels_rejected(self, bad):
         with pytest.raises(BoxParseError):
             parse_det_label(bad)
 
-    @pytest.mark.parametrize("bad", ["00001", "002", "(0000)", ""])
+    @pytest.mark.parametrize("bad", ["00001", "002", "(0000)", "", 5, None])
     def test_bad_local_labels_rejected(self, bad):
         with pytest.raises(BoxParseError):
             parse_local_label(bad)
