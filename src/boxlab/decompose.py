@@ -450,7 +450,10 @@ class DimensionResult:
     nodes_used: int
 
 
+# Least recently used first; holds every search of a long sweep or benchmark
+# run while keeping memory bounded.
 _dimension_cache: dict[tuple, DimensionResult] = {}
+_DIMENSION_CACHE_CAPACITY = 1024
 
 
 class _SpanFilter:
@@ -632,14 +635,17 @@ def _min_dimension(target, budget: int | None, vs: _VertexSet, membership,
     first, else ``outside_error`` is raised."""
     budget = _budget_value(budget)
     key = (vs.name, vs.dists(target), budget)
-    cached = _dimension_cache.get(key)
+    cached = _dimension_cache.pop(key, None)
     if cached is not None:
+        _dimension_cache[key] = cached
         return cached
     member, _ = membership(target)
     if not member:
         raise outside_error
     result = _min_subset_search(_cell_table(target, vs), budget, target, vs)
     _dimension_cache[key] = result
+    if len(_dimension_cache) > _DIMENSION_CACHE_CAPACITY:
+        del _dimension_cache[next(iter(_dimension_cache))]
     return result
 
 

@@ -1,23 +1,48 @@
 """Exact rational linear programming via a two-phase primal simplex.
 
-Arbitrary-precision :class:`~fractions.Fraction` arithmetic throughout; no
-tolerances anywhere.  Bland's anti-cycling rule guarantees termination, and the
-fixed variable order makes results deterministic: identical programs yield
-identical results.  Problem sizes in this package are tiny (at most a few
-dozen rows and ~130 standard-form columns), so simplicity beats speed.
+The simplex pivots in integers (Edmonds 1967; Bareiss 1968).  Each
+standard-form row is scaled by the lcm of its coefficients' denominators and
+the right-hand side by one common factor ``t``, so the starting tableau is an
+integer matrix ``M`` over the all-artificial basis, with ``d = 1``; the true
+tableau is always ``M / d``.  A pivot on entry ``p`` replaces every entry
+``x`` outside the pivot row by ``(p*x - f*y) // d``, where ``f`` is its row's
+entry in the pivot column and ``y`` the pivot row's entry in its column, and
+then sets ``d = p``.  ``M`` is then ``d`` times ``B^-1`` times the scaled
+matrix, for the current basis ``B``, with ``d = |det B|``, so every division
+is exact (Cramer's rule).  Only a drive-out pivot can be negative; it is
+followed by negating ``M`` and ``d``, so that ``d > 0`` and the signs of
+``M`` are those of the true tableau.  The reduced-cost row is one more
+integer row on the same scale, pivoted with the others, so nothing is
+recomputed per iteration.
 
-Every returned answer is re-verified against the original program before it is
-handed back: optimal solutions are re-checked constraint by constraint,
-and infeasibility is re-certified by the phase-1 optimum.  Every variable is
-nonnegative.  No program this package builds has an unbounded objective, so
-one is reported as :class:`~boxlab.errors.MalformedProgram` rather than as a
-status.
+The pivots are those of the rational simplex on the unscaled program.
+Scaling a row leaves ``B^-1 A`` unchanged.  Each artificial column stays a
+unit vector, which rescales its variable by its row's factor ``s_r``, and
+gets the phase-1 cost ``1/s_r``, which keeps the phase-1 objective.
+Rescaling a column (an artificial or the right-hand side) only multiplies its
+reduced cost, its ratios and its variable's row by positive factors.  Bland's
+rule reads only signs, the ratio test compares ratios by cross-multiplying
+integers, and ties still go to the lowest basic variable, so every program
+takes the same pivots and gets the same answer.  :class:`~fractions.Fraction`
+remains only at the boundary: the input rows, the final
+``x[j] = M[r][-1] / (d*t)``, and the checks below.  No tolerances anywhere;
+Bland's rule guarantees termination, and the fixed variable order makes
+identical programs yield identical results.
+
+Every returned answer is re-verified against the original program before it
+is handed back: optimal solutions are re-checked constraint by constraint,
+and infeasibility by a Farkas certificate ``y`` read from the final phase-1
+reduced costs and checked against the standard-form rows (``y . a_j <= 0``
+for every column, ``y . b > 0``).  Every variable is nonnegative.  No
+program this package builds has an unbounded objective, so one is reported
+as :class:`~boxlab.errors.MalformedProgram` rather than as a status.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import MalformedProgram
@@ -77,89 +102,102 @@ def _validated(lp: LinearProgram) -> tuple[list[Fraction], list[list[Fraction]],
 
 
 class _Tableau:
-    """Dense simplex tableau with Bland's rule, kept exact with Fractions."""
+    """Integer simplex tableau with Bland's rule: the true tableau is
+    ``rows / d`` and the true reduced costs are ``cost / d``.
 
-    def __init__(self, rows: list[list[Fraction]], rhs: list[Fraction],
-                 basis: list[int], ncols: int) -> None:
-        self.rows = rows          # m lists of length ncols
-        self.rhs = rhs            # length m, kept >= 0
+    The last entry of every row is its right-hand side, kept >= 0; the last
+    entry of ``cost`` is ``-d`` times the objective value.
+    """
+
+    def __init__(self, rows: list[list[int]], basis: list[int]) -> None:
+        self.rows = rows
         self.basis = basis        # basic column index per row
-        self.ncols = ncols
+        self.cost: list[int] = []
+        self.d = 1
+
+    def price(self, c: list[int]) -> None:
+        """Set the reduced-cost row for integer costs ``c`` (one per column,
+        0 for the right-hand side): ``d*c - sum_r c[basis[r]] * rows[r]``."""
+        cost = [self.d * v for v in c]
+        for row, col in zip(self.rows, self.basis):
+            if c[col]:
+                cost = [v - c[col] * w for v, w in zip(cost, row)]
+        self.cost = cost
 
     def pivot(self, row: int, col: int) -> None:
-        pivot_value = self.rows[row][col]
-        inv = _ONE / pivot_value
-        self.rows[row] = [v * inv for v in self.rows[row]]
-        self.rhs[row] *= inv
         pivot_row = self.rows[row]
-        pivot_rhs = self.rhs[row]
-        for r in range(len(self.rows)):
-            if r == row:
-                continue
-            factor = self.rows[r][col]
-            if factor == 0:
-                continue
-            target = self.rows[r]
-            for j in range(self.ncols):
-                if pivot_row[j] != 0:
-                    target[j] -= factor * pivot_row[j]
-            self.rhs[r] -= factor * pivot_rhs
+        p = pivot_row[col]
+        d = self.d
+        self.rows = [target if r == row else
+                     _eliminate(target, pivot_row, p, d, col)
+                     for r, target in enumerate(self.rows)]
+        self.cost = _eliminate(self.cost, pivot_row, p, d, col)
         self.basis[row] = col
+        if p < 0:
+            # Only drive-out pivots can be negative; keep d > 0 so the
+            # signs of the integer entries are the true tableau's.
+            self.rows = [[-v for v in target] for target in self.rows]
+            self.cost = [-v for v in self.cost]
+            p = -p
+        self.d = p
 
-    def run_simplex(self, cost: list[Fraction], allowed: list[bool]) -> None:
-        """Minimize ``cost . y`` from the current basis.
+    def run_simplex(self) -> None:
+        """Minimize from the current basis until no reduced cost is negative.
 
-        ``allowed[j]`` False bars column j from entering.  Raises
-        :class:`MalformedProgram` when the objective is unbounded below.
+        Raises :class:`MalformedProgram` when the objective is unbounded
+        below.
         """
-        m = len(self.rows)
+        ncols = len(self.cost) - 1
         while True:
-            # Reduced costs via the basic cost multipliers.
-            basic_cost = [cost[self.basis[r]] for r in range(m)]
-            entering = -1
-            for j in range(self.ncols):
-                if not allowed[j] or j in self.basis:
-                    continue
-                reduced = cost[j]
-                for r in range(m):
-                    if basic_cost[r] != 0 and self.rows[r][j] != 0:
-                        reduced -= basic_cost[r] * self.rows[r][j]
-                if reduced < 0:
-                    entering = j
-                    break  # Bland: first (lowest-index) improving column.
+            cost = self.cost
+            # Bland: first (lowest-index) improving column.  Basic columns
+            # have reduced cost 0.
+            entering = next((j for j in range(ncols) if cost[j] < 0), -1)
             if entering < 0:
                 return
             leaving = -1
-            best_ratio: Fraction | None = None
-            for r in range(m):
-                coeff = self.rows[r][entering]
+            for r, row in enumerate(self.rows):
+                coeff = row[entering]
                 if coeff > 0:
-                    ratio = self.rhs[r] / coeff
-                    if (best_ratio is None or ratio < best_ratio or
-                            (ratio == best_ratio and
-                             self.basis[r] < self.basis[leaving])):
-                        best_ratio = ratio
-                        leaving = r
+                    if leaving < 0:
+                        leaving, best_rhs, best_coeff = r, row[-1], coeff
+                        continue
+                    # rhs/coeff against best_rhs/best_coeff, denominators > 0.
+                    lhs, rhs = row[-1] * best_coeff, best_rhs * coeff
+                    if lhs < rhs or (lhs == rhs and
+                                     self.basis[r] < self.basis[leaving]):
+                        leaving, best_rhs, best_coeff = r, row[-1], coeff
             if leaving < 0:
                 raise MalformedProgram(
                     f"objective is unbounded along column {entering}")
             self.pivot(leaving, entering)
 
-    def solution(self, ncols: int) -> list[Fraction]:
-        values = [_ZERO] * ncols
-        for r, col in enumerate(self.basis):
-            if col < ncols:
-                values[col] = self.rhs[r]
-        return values
+
+def _eliminate(target: list[int], pivot_row: list[int], p: int, d: int,
+               col: int) -> list[int]:
+    """One row of an integer pivot: ``(p*x - f*y) // d``, exact."""
+    f = target[col]
+    if f == 0:
+        if p == d:
+            return target
+        return [v * p // d for v in target]
+    return [(v * p - f * y) // d for v, y in zip(target, pivot_row)]
+
+
+def _integers(values: list[Fraction]) -> tuple[int, list[int]]:
+    """``(s, s*values)`` with ``s`` the lcm of the values' denominators."""
+    s = lcm(*(v.denominator for v in values))
+    return s, [v.numerator * (s // v.denominator) for v in values]
 
 
 def solve(lp: LinearProgram) -> LPResult:
     """Solve ``lp`` exactly.
 
     Two-phase primal simplex: phase 1 minimizes the sum of artificial
-    variables from an all-artificial basis; a positive phase-1 optimum proves
-    infeasibility.  Phase 2 optimizes the requested objective.  The returned
-    vertex solution is re-verified against the original constraints.
+    variables from an all-artificial basis; a positive phase-1 optimum means
+    infeasibility, proved by a checked Farkas certificate.  Phase 2
+    optimizes the requested objective.  The returned vertex solution is
+    re-verified against the original constraints.
     """
     objective, eq_rows, eq_rhs, le_rows, le_rhs = _validated(lp)
 
@@ -178,26 +216,34 @@ def solve(lp: LinearProgram) -> LPResult:
             rows[r] = [-v for v in rows[r]]
             rhs[r] = -rhs[r]
 
+    # --- integer tableau: scaled rows, unit artificial columns ------------
     m = len(rows)
-    total = width + m
+    scales = []
+    tableau_rows = []
     for r in range(m):
-        art = [_ZERO] * m
-        art[r] = _ONE
-        rows[r] = rows[r] + art
-    basis = [width + r for r in range(m)]
-    tableau = _Tableau(rows, rhs, basis, total)
+        s, scaled = _integers(rows[r])
+        scales.append(s)
+        tableau_rows.append(scaled + [int(k == r) for k in range(m)])
+    # One common factor t makes the right-hand side integer; scaling a
+    # column changes no pivot, and keeps d free of the rhs denominators.
+    t, b = _integers([s * v for s, v in zip(scales, rhs)])
+    for row, v in zip(tableau_rows, b):
+        row.append(v)
+    tableau = _Tableau(tableau_rows, [width + r for r in range(m)])
+    common = lcm(*scales)
+    # Phase-1 cost 1/s_r for artificial r, times common.
+    tableau.price([0] * width + [common // s for s in scales] + [0])
 
     # --- phase 1 ----------------------------------------------------------
     # Bounded below by 0, so this never raises.
-    tableau.run_simplex([_ZERO] * width + [_ONE] * m, [True] * total)
-    artificial_level = sum(
-        (tableau.rhs[r] for r in range(m) if tableau.basis[r] >= width), _ZERO)
-    if artificial_level > 0:
-        # Re-verify the infeasibility certificate exactly.
-        y = tableau.solution(total)
-        recomputed = sum(y[width:], _ZERO)
-        if recomputed != artificial_level or recomputed <= 0:
-            raise AssertionError("phase-1 infeasibility certificate mismatch")
+    tableau.run_simplex()
+    if tableau.cost[-1] != 0:
+        # The artificial of row r costs 1/s_r and has reduced cost
+        # cost[width + r] / (d*common), so the phase-1 dual of unscaled row r
+        # is 1 - s_r*cost[width + r] / (d*common); y is that times d*common.
+        y = [tableau.d * common - s * tableau.cost[width + r]
+             for r, s in enumerate(scales)]
+        _verify_infeasibility(rows, rhs, y)
         return LPResult(INFEASIBLE)
 
     # Drive remaining zero-level artificials out of the basis.
@@ -208,19 +254,41 @@ def solve(lp: LinearProgram) -> LPResult:
             if pivot_col is not None:
                 tableau.pivot(r, pivot_col)
     keep = [r for r in range(m) if tableau.basis[r] < width]
-    tableau.rows = [tableau.rows[r] for r in keep]
-    tableau.rhs = [tableau.rhs[r] for r in keep]
+    # Artificial columns can no longer enter, so phase 2 drops them.
+    tableau.rows = [tableau.rows[r][:width] + tableau.rows[r][-1:]
+                    for r in keep]
     tableau.basis = [tableau.basis[r] for r in keep]
 
     # --- phase 2 ----------------------------------------------------------
-    sign = Fraction(-1) if lp.maximize else _ONE
-    cost = [sign * c for c in objective] + [_ZERO] * (total - lp.n)
-    tableau.run_simplex(cost, [True] * width + [False] * m)
+    sign = -1 if lp.maximize else 1
+    _, c = _integers([sign * v for v in objective])
+    tableau.price(c + [0] * (width + 1 - lp.n))
+    tableau.run_simplex()
 
-    x = tableau.solution(lp.n)
+    scale = tableau.d * t
+    x = [_ZERO] * lp.n
+    for row, col in zip(tableau.rows, tableau.basis):
+        if col < lp.n:
+            x[col] = Fraction(row[-1], scale)
     value = sum((objective[i] * x[i] for i in range(lp.n)), _ZERO)
     _verify_solution(objective, eq_rows, eq_rhs, le_rows, le_rhs, x, value)
     return LPResult(OPTIMAL, value, tuple(x))
+
+
+def _verify_infeasibility(rows: list[list[Fraction]], rhs: list[Fraction],
+                          y: list[int]) -> None:
+    """Check the Farkas certificate ``y`` for ``rows x = rhs, x >= 0``.
+
+    ``y . a_j <= 0`` for every column and ``y . rhs > 0`` leave no
+    nonnegative solution: it would give ``0 >= y . A x = y . rhs > 0``.
+    """
+    for j in range(len(rows[0]) if rows else 0):
+        if sum((yr * row[j] for yr, row in zip(y, rows) if yr and row[j]),
+               _ZERO) > 0:
+            raise AssertionError(
+                f"infeasibility certificate fails on column {j}")
+    if sum((yr * b for yr, b in zip(y, rhs)), _ZERO) <= 0:
+        raise AssertionError("infeasibility certificate has y.b <= 0")
 
 
 def _verify_solution(objective, eq_rows, eq_rhs, le_rows, le_rhs,

@@ -402,6 +402,23 @@ class TestMinNcDimension:
         assert result.dimension <= 8
         assert result.filtered_count == 16
 
+    def test_cache_evicts_least_recently_used(self, monkeypatch):
+        monkeypatch.setattr(decompose, "_dimension_cache", {})
+        monkeypatch.setattr(decompose, "_DIMENSION_CACHE_CAPACITY", 4)
+        boxes = [noisy_peres_box(f"{k}/20") for k in range(1, 7)]
+
+        def key(box):
+            return (decompose._NC.name, decompose._NC.dists(box), 0)
+
+        results = [min_nc_dimension(box, 0) for box in boxes[:5]]
+        cache = decompose._dimension_cache
+        assert list(cache) == [key(box) for box in boxes[1:5]]
+        # A hit returns the stored result and makes it the newest entry.
+        assert min_nc_dimension(boxes[4], 0) is results[4]
+        assert min_nc_dimension(boxes[1], 0) is results[1]
+        min_nc_dimension(boxes[5], 0)
+        assert list(cache) == [key(boxes[k]) for k in (3, 4, 1, 5)]
+
 
 NC_REFUTATION_CASES = [
     ("noisy-third", lambda: noisy_peres_box("1/3"), 8),

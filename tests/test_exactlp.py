@@ -1,13 +1,20 @@
 """Exact rational linear programming: correctness, degeneracy, cross-checks."""
 
+import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import fixtures as fx
+from boxlab import decompose, exactlp
+from boxlab.boxes import noise_box, noisy_peres_box, peres_box, uniform_box
 from boxlab.errors import MalformedProgram
-from boxlab.exactlp import LinearProgram, solve
+from boxlab.exactlp import INFEASIBLE, OPTIMAL, LinearProgram, LPResult, solve
+from boxlab.scenario import mix_boxes
+from boxlab.vertices import enumerate_nc_vertices
+from boxlab.witnesses import classify
 
 
 def check_feasible_exactly(lp: LinearProgram, x):
@@ -61,31 +68,36 @@ class TestAnalyticPrograms:
         assert res.value == 0
 
 
+CYCLING = LinearProgram(
+    n=4,
+    objective=[F(-3, 4), F(150), F(-1, 50), F(6)],
+    maximize=False,
+    le_rows=[
+        [F(1, 4), F(-60), F(-1, 25), F(9)],
+        [F(1, 2), F(-90), F(-1, 50), F(3)],
+        [F(0), F(0), F(1), F(0)],
+    ],
+    le_rhs=[F(0), F(0), F(1)])
+
+# Redundant equality copies of the same hyperplane.
+REDUNDANT = LinearProgram(
+    n=3, objective=[F(1), F(2), F(3)], maximize=True,
+    eq_rows=[[F(1), F(1), F(1)], [F(2), F(2), F(2)]],
+    eq_rhs=[F(1), F(2)])
+
+
 class TestDegeneracy:
     def test_classic_cycling_instance_terminates(self):
         # Degenerate instance known to cycle under naive most-negative
         # pivoting; anti-cycling pivots must terminate at value -1/20.
-        lp = LinearProgram(
-            n=4,
-            objective=[F(-3, 4), F(150), F(-1, 50), F(6)],
-            maximize=False,
-            le_rows=[
-                [F(1, 4), F(-60), F(-1, 25), F(9)],
-                [F(1, 2), F(-90), F(-1, 50), F(3)],
-                [F(0), F(0), F(1), F(0)],
-            ],
-            le_rhs=[F(0), F(0), F(1)])
+        lp = CYCLING
         res = solve(lp)
         assert res.status == "optimal"
         assert res.value == F(-1, 20)
         check_feasible_exactly(lp, res.x)
 
     def test_highly_degenerate_equalities(self):
-        # Redundant equality copies of the same hyperplane.
-        lp = LinearProgram(
-            n=3, objective=[F(1), F(2), F(3)], maximize=True,
-            eq_rows=[[F(1), F(1), F(1)], [F(2), F(2), F(2)]],
-            eq_rhs=[F(1), F(2)])
+        lp = REDUNDANT
         res = solve(lp)
         assert res.status == "optimal"
         assert res.value == F(3)
@@ -108,35 +120,36 @@ class TestValidation:
                                 eq_rows=[[F(1)]], eq_rhs=[]))
 
 
+def random_program(rng):
+    n = int(rng.integers(1, 5))
+    m_le = int(rng.integers(1, 4))
+    m_eq = int(rng.integers(0, 2))
+    objective = [F(int(rng.integers(-5, 6))) for _ in range(n)]
+    le_rows = [[F(int(rng.integers(-4, 5))) for _ in range(n)]
+               for _ in range(m_le)]
+    le_rhs = [F(int(rng.integers(0, 7))) for _ in range(m_le)]
+    # Cap every variable to keep the region bounded.
+    for i in range(n):
+        row = [F(0)] * n
+        row[i] = F(1)
+        le_rows.append(row)
+        le_rhs.append(F(int(rng.integers(1, 6))))
+    eq_rows = [[F(int(rng.integers(-2, 3))) for _ in range(n)]
+               for _ in range(m_eq)]
+    eq_rhs = [F(int(rng.integers(0, 3))) for _ in range(m_eq)]
+    return LinearProgram(n=n, objective=objective, maximize=True,
+                         eq_rows=eq_rows, eq_rhs=eq_rhs,
+                         le_rows=le_rows, le_rhs=le_rhs)
+
+
 class TestAgainstFloatSolver:
     """Randomized duels against an independent floating-point LP solver."""
-
-    def _random_program(self, rng):
-        n = int(rng.integers(1, 5))
-        m_le = int(rng.integers(1, 4))
-        m_eq = int(rng.integers(0, 2))
-        objective = [F(int(rng.integers(-5, 6))) for _ in range(n)]
-        le_rows = [[F(int(rng.integers(-4, 5))) for _ in range(n)]
-                   for _ in range(m_le)]
-        le_rhs = [F(int(rng.integers(0, 7))) for _ in range(m_le)]
-        # Cap every variable to keep the region bounded.
-        for i in range(n):
-            row = [F(0)] * n
-            row[i] = F(1)
-            le_rows.append(row)
-            le_rhs.append(F(int(rng.integers(1, 6))))
-        eq_rows = [[F(int(rng.integers(-2, 3))) for _ in range(n)]
-                   for _ in range(m_eq)]
-        eq_rhs = [F(int(rng.integers(0, 3))) for _ in range(m_eq)]
-        return LinearProgram(n=n, objective=objective, maximize=True,
-                             eq_rows=eq_rows, eq_rhs=eq_rhs,
-                             le_rows=le_rows, le_rhs=le_rhs)
 
     def test_thirty_random_duels(self):
         rng = np.random.default_rng(20240817)
         statuses = set()
         for _ in range(30):
-            lp = self._random_program(rng)
+            lp = random_program(rng)
             res = solve(lp)
             ref = linprog(
                 c=[-float(c) for c in lp.objective],
@@ -158,3 +171,267 @@ class TestAgainstFloatSolver:
         # The seed must exercise both outcomes we care about.
         assert "optimal" in statuses
         assert "infeasible" in statuses
+
+
+# ---------------------------------------------------------------------------
+# Reference: the rational tableau the integer tableau replaced
+# ---------------------------------------------------------------------------
+
+class FractionTableau:
+    """Dense simplex tableau with Bland's rule, kept exact with Fractions.
+    Records every pivot as ``(row, col)``."""
+
+    def __init__(self, rows, rhs, basis, ncols):
+        self.rows = rows
+        self.rhs = rhs
+        self.basis = basis
+        self.ncols = ncols
+        self.pivots = []
+
+    def pivot(self, row, col):
+        self.pivots.append((row, col))
+        inv = 1 / self.rows[row][col]
+        self.rows[row] = [v * inv for v in self.rows[row]]
+        self.rhs[row] *= inv
+        pivot_row = self.rows[row]
+        for r in range(len(self.rows)):
+            factor = self.rows[r][col]
+            if r == row or factor == 0:
+                continue
+            self.rows[r] = [v - factor * w
+                            for v, w in zip(self.rows[r], pivot_row)]
+            self.rhs[r] -= factor * self.rhs[row]
+        self.basis[row] = col
+
+    def run_simplex(self, cost, allowed):
+        m = len(self.rows)
+        while True:
+            basic_cost = [cost[self.basis[r]] for r in range(m)]
+            entering = -1
+            for j in range(self.ncols):
+                if not allowed[j] or j in self.basis:
+                    continue
+                reduced = cost[j] - sum(basic_cost[r] * self.rows[r][j]
+                                        for r in range(m))
+                if reduced < 0:
+                    entering = j
+                    break
+            if entering < 0:
+                return
+            leaving, best = -1, None
+            for r in range(m):
+                coeff = self.rows[r][entering]
+                if coeff > 0:
+                    ratio = self.rhs[r] / coeff
+                    if (best is None or ratio < best or
+                            (ratio == best and
+                             self.basis[r] < self.basis[leaving])):
+                        best, leaving = ratio, r
+            if leaving < 0:
+                raise MalformedProgram("unbounded")
+            self.pivot(leaving, entering)
+
+
+def fraction_solve(lp):
+    """The two-phase rational simplex: ``(LPResult, pivots)``."""
+    n, nslack = lp.n, len(lp.le_rows)
+    rows = [[F(v) for v in row] + [F(0)] * nslack for row in lp.eq_rows]
+    rhs = [F(v) for v in lp.eq_rhs]
+    for k, row in enumerate(lp.le_rows):
+        rows.append([F(v) for v in row] +
+                    [F(int(i == k)) for i in range(nslack)])
+        rhs.append(F(lp.le_rhs[k]))
+    width, m = n + nslack, len(rows)
+    for r in range(m):
+        if rhs[r] < 0:
+            rows[r], rhs[r] = [-v for v in rows[r]], -rhs[r]
+        rows[r] += [F(int(i == r)) for i in range(m)]
+    total = width + m
+    tableau = FractionTableau(rows, rhs, [width + r for r in range(m)], total)
+    tableau.run_simplex([F(0)] * width + [F(1)] * m, [True] * total)
+    if any(tableau.rhs[r] > 0 for r in range(m) if tableau.basis[r] >= width):
+        return LPResult(INFEASIBLE), tableau.pivots
+    for r in range(m):
+        if tableau.basis[r] >= width:
+            col = next((j for j in range(width) if tableau.rows[r][j] != 0),
+                       None)
+            if col is not None:
+                tableau.pivot(r, col)
+    keep = [r for r in range(m) if tableau.basis[r] < width]
+    tableau.rows = [tableau.rows[r] for r in keep]
+    tableau.rhs = [tableau.rhs[r] for r in keep]
+    tableau.basis = [tableau.basis[r] for r in keep]
+    sign = -1 if lp.maximize else 1
+    cost = [sign * F(c) for c in lp.objective] + [F(0)] * (total - n)
+    tableau.run_simplex(cost, [True] * width + [False] * m)
+    x = [F(0)] * n
+    for r, col in enumerate(tableau.basis):
+        if col < n:
+            x[col] = tableau.rhs[r]
+    value = sum((F(c) * v for c, v in zip(lp.objective, x)), F(0))
+    return LPResult(OPTIMAL, value, tuple(x)), tableau.pivots
+
+
+@pytest.fixture
+def integer_pivots(monkeypatch):
+    """Records the integer tableau's pivots as ``(row, col)``, and the
+    pivots on a negative integer entry in ``negative``."""
+    pivots, negative = [], []
+    pivot = exactlp._Tableau.pivot
+
+    def recording(tableau, row, col):
+        pivots.append((row, col))
+        if tableau.rows[row][col] < 0:
+            negative.append((row, col))
+        pivot(tableau, row, col)
+
+    monkeypatch.setattr(exactlp._Tableau, "pivot", recording)
+    return pivots, negative
+
+
+def assert_same_as_reference(lp, integer_pivots):
+    pivots, _ = integer_pivots
+    del pivots[:]
+    expected, expected_pivots = fraction_solve(lp)
+    assert solve(lp) == expected
+    assert pivots == expected_pivots
+
+
+def parity_mixture(rng, parity, low, high):
+    """p*parity + (1-p)*(u*uniform + (1-u)*random vertex mixture), p in
+    (low, high): full support, so every vertex enters every LP."""
+    p = F(rng.randint(1, 99), 100) * (high - low) + low
+    u = F(rng.randint(1, 3), 4)
+    vertices = rng.sample(enumerate_nc_vertices(), rng.randint(2, 6))
+    weights = [F(rng.randint(1, 12)) for _ in vertices]
+    total = sum(weights)
+    inner = mix_boxes([(w / total, box) for w, (_, box) in zip(weights,
+                                                              vertices)])
+    return mix_boxes([(p, parity), ((1 - p) * u, uniform_box()),
+                      ((1 - p) * (1 - u), inner)])
+
+
+RELABELLED = fx.build_box(fx.PERES_RELABELLED_TABLE)
+CLASSIFY_BOXES = [
+    *((f"parity-mixture-{seed}", lambda seed=seed: parity_mixture(
+        random.Random(seed), peres_box(), F(seed, 4), F(seed + 1, 4)))
+      for seed in range(4)),
+    *((f"relabelled-mixture-{seed}", lambda seed=seed: parity_mixture(
+        random.Random(seed), RELABELLED, F(5 + 2 * seed, 8),
+        F(6 + 2 * seed, 8)))
+      for seed in range(2)),
+    ("noise", noise_box),
+    ("uniform", uniform_box),
+    *((f"noisy-{w}", lambda w=w: noisy_peres_box(w))
+      for w in ("0", "1/4", "1/3")),
+    ("rank3-sigma", lambda: fx.build_box(fx.RANK3_SIGMA_PERES_TABLE)),
+    ("rank3-rho", lambda: fx.build_box(fx.RANK3_RHO_PERES_TABLE)),
+    ("cc-rotated", lambda: fx.build_box(fx.CC_ROTATED_TABLE)),
+]
+
+
+def classify_programs(box):
+    """Every LP ``classify`` builds for the box: the contextual fraction,
+    Peres strength and Bell-local membership (``skip_dims``), plus the NC
+    membership the dimension search adds."""
+    programs = []
+
+    def recording(lp):
+        programs.append(lp)
+        return solve(lp)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decompose, "solve", recording)
+        classify(box, skip_dims=True)
+        decompose.nc_membership(box)
+    return programs
+
+
+class TestIntegerTableauMatchesReference:
+    """Same status, value, x and pivot sequence as the rational simplex."""
+
+    @pytest.mark.parametrize("name, make", CLASSIFY_BOXES,
+                             ids=[name for name, _ in CLASSIFY_BOXES])
+    def test_classify_programs(self, name, make, integer_pivots):
+        programs = classify_programs(make())
+        assert len(programs) == 4
+        for lp in programs:
+            assert_same_as_reference(lp, integer_pivots)
+
+    def test_relabelled_mixtures_reach_infeasible_peres_strength(self):
+        for name, make in CLASSIFY_BOXES:
+            if name.startswith("relabelled"):
+                assert classify(make(), skip_dims=True).peres_strength is None
+
+    def test_negative_drive_out_pivot_runs(self, integer_pivots):
+        # A negative integer pivot only happens while driving a zero-level
+        # artificial out of the basis; it must flip the tableau's sign.
+        _, negative = integer_pivots
+        for lp in classify_programs(noise_box()):
+            assert_same_as_reference(lp, integer_pivots)
+        assert negative
+
+    def test_random_and_degenerate_programs(self, integer_pivots):
+        rng = np.random.default_rng(20240817)
+        programs = [CYCLING, REDUNDANT,
+                    *(random_program(rng) for _ in range(30))]
+        for lp in programs:
+            assert_same_as_reference(lp, integer_pivots)
+
+
+class TestInfeasibilityCertificate:
+    def certificate(self, lp, monkeypatch):
+        """``(rows, rhs, y)`` handed to the Farkas check by ``solve``."""
+        seen = []
+        check = exactlp._verify_infeasibility
+
+        def recording(rows, rhs, y):
+            seen.append((rows, rhs, y))
+            check(rows, rhs, y)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(exactlp, "_verify_infeasibility", recording)
+            assert solve(lp).status == INFEASIBLE
+        (found,) = seen
+        return found
+
+    @staticmethod
+    def holds(rows, rhs, y):
+        return (all(sum(a * row[j] for a, row in zip(y, rows)) <= 0
+                    for j in range(len(rows[0])))
+                and sum(a * b for a, b in zip(y, rhs)) > 0)
+
+    def test_perturbed_certificates_are_rejected(self, monkeypatch):
+        # The Peres-strength and NC-membership LPs of a contextual box.
+        box = parity_mixture(random.Random(1), RELABELLED, F(7, 8), F(1))
+        infeasible = [lp for lp in classify_programs(box)
+                      if solve(lp).status == INFEASIBLE]
+        assert len(infeasible) == 2
+        for lp in infeasible:
+            self.check_perturbations(*self.certificate(lp, monkeypatch))
+
+    def check_perturbations(self, rows, rhs, y):
+        assert self.holds(rows, rhs, y)
+        rng = random.Random(20261018)
+        rejected = 0
+        for _ in range(40):
+            bad = list(y)
+            for r in rng.sample(range(len(y)), 3):
+                bad[r] += rng.randint(-2, 2) * max(abs(v) for v in y)
+            if self.holds(rows, rhs, bad):
+                exactlp._verify_infeasibility(rows, rhs, bad)
+                continue
+            rejected += 1
+            with pytest.raises(AssertionError, match="certificate"):
+                exactlp._verify_infeasibility(rows, rhs, bad)
+        assert rejected >= 30
+        with pytest.raises(AssertionError, match="y.b"):
+            exactlp._verify_infeasibility(rows, rhs, [0] * len(y))
+
+    def test_negated_certificate_is_rejected(self, monkeypatch):
+        lp = LinearProgram(n=1, objective=[F(1)], maximize=True,
+                           le_rows=[[F(1)]], le_rhs=[F(-1)])
+        rows, rhs, y = self.certificate(lp, monkeypatch)
+        assert self.holds(rows, rhs, y)
+        with pytest.raises(AssertionError, match="column 0"):
+            exactlp._verify_infeasibility(rows, rhs, [-v for v in y])
