@@ -16,7 +16,7 @@ Everything here is exact-rational.  The questions answered:
 Both vertex sets go through one engine: a small private record per set says
 how to enumerate its vertices and read a target's distributions, and the cell
 table, membership LP, subset search, decomposition check and mix are written
-once against it.
+once against it; every LP here is built from the cell table's 0/1 cover rows.
 
 Two hidden-variable semantics appear, both documented where used: the
 minimal-dimension searches count deterministic vertices (the reading under
@@ -37,7 +37,7 @@ refuted by fraction-free elimination that reuses the work of the prefix it
 shares with the previous support).  One integer eliminator serves the span
 test, the survivors' weights (back-substituted in integers; ``Fraction``
 appears only in the final quotients) and the ranks behind the cap and the
-affine dimensions.
+affine dimensions, with the exact simplex's step and integer scaling.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb
 from operator import attrgetter
 from typing import Callable, NamedTuple, Sequence
 
@@ -60,7 +60,8 @@ from .errors import (
     NotNoncontextual,
     ParameterOutOfRange,
 )
-from .exactlp import INFEASIBLE, OPTIMAL, LinearProgram, solve
+from .exactlp import (OPTIMAL, LinearProgram, _bareiss_step, _integers,
+                      solve)
 from .scenario import (
     BELL_SETTINGS,
     BellMarginal,
@@ -239,20 +240,20 @@ def decomposition_from_json(data, target: Box | BellMarginal) -> Decomposition:
 class _CellTable(NamedTuple):
     """A target and its support-filtered candidates in shared cell indexing.
 
-    ``rhs[r]`` is the target's value at support cell ``r``, and
-    ``cell_index[(i, j)]`` is that ``r`` for entry ``j`` of distribution
-    ``i``; ``colbits[j]`` has bit ``r`` set iff candidate ``j`` puts its mass
-    on cell ``r``.  Candidates whose support leaves the target's support
+    ``cells[r]`` is support cell ``r`` as ``(i, j)``, entry ``j`` of
+    distribution ``i``, and ``rhs[r]`` the target's value there;
+    ``colbits[j]`` has bit ``r`` set iff candidate ``j`` puts its mass on
+    cell ``r``.  Candidates whose support leaves the target's support
     cannot carry weight in any nonnegative decomposition (the target is 0
     where they are 1), so dropping them is exact.
     """
 
     ids: tuple
     colbits: tuple[int, ...]
+    cells: tuple[tuple[int, int], ...]
     rhs: tuple[Fraction, ...]
     full_mask: int
     context_cell_counts: tuple[int, ...]
-    cell_index: dict[tuple[int, int], int]
 
 
 def _cell_table(target, vs: _VertexSet) -> _CellTable:
@@ -279,8 +280,14 @@ def _cell_table(target, vs: _VertexSet) -> _CellTable:
         else:
             ids.append(vid)
             colbits.append(bits)
-    return _CellTable(tuple(ids), tuple(colbits), tuple(rhs),
-                      (1 << len(rhs)) - 1, tuple(counts), cell_index)
+    return _CellTable(tuple(ids), tuple(colbits), tuple(cell_index),
+                      tuple(rhs), (1 << len(rhs)) - 1, tuple(counts))
+
+
+def _cover_rows(table: _CellTable) -> list[list[int]]:
+    """One 0/1 row per support cell: which candidates put mass on it."""
+    return [[(bits >> r) & 1 for bits in table.colbits]
+            for r in range(len(table.rhs))]
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +301,9 @@ def _membership(target, vs: _VertexSet) -> tuple[bool, Decomposition | None]:
     m = len(table.ids)
     if m == 0:
         return (False, None)
-    eq_rows = [[Fraction((bits >> r) & 1) for bits in table.colbits]
-               for r in range(len(table.rhs))]
-    eq_rows.append([_ONE] * m)
     result = solve(LinearProgram(n=m, objective=[_ZERO] * m, maximize=False,
-                                 eq_rows=eq_rows, eq_rhs=[*table.rhs, _ONE]))
+                                 eq_rows=[*_cover_rows(table), [1] * m],
+                                 eq_rhs=[*table.rhs, _ONE]))
     if result.status != OPTIMAL:
         return (False, None)
     terms = [(table.ids[j], result.x[j]) for j in range(m) if result.x[j] > 0]
@@ -343,11 +348,9 @@ def contextual_fraction(box: Box) -> ContextualFraction:
         ncf = _ZERO
         witness: tuple = ()
     else:
-        n_rows = len(table.rhs)
-        le_rows = [[Fraction((table.colbits[j] >> r) & 1) for j in range(m)]
-                   for r in range(n_rows)]
         result = solve(LinearProgram(n=m, objective=[_ONE] * m, maximize=True,
-                                     le_rows=le_rows, le_rhs=list(table.rhs)))
+                                     le_rows=_cover_rows(table),
+                                     le_rhs=list(table.rhs)))
         if result.status != OPTIMAL:
             raise AssertionError(
                 f"contextual-fraction LP returned {result.status}")
@@ -389,42 +392,34 @@ def peres_strength(box: Box) -> PeresStrength:
     # Support-filtered candidates are exact here too: on cells where the box
     # is 0, every term of the nonnegative combination must vanish.
     table = _cell_table(box, _NC)
-    m = len(table.ids)
-    # One equation per cell where the box or the parity box is positive; a
-    # cell with box 0 but parity box positive forces p = 0.
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for i in range(5):
-        for j, p in enumerate(box.contexts[i]):
-            pp = parity.contexts[i][j]
-            if p == 0 and pp == 0:
-                continue
-            row = [pp]
-            rbit = table.cell_index.get((i, j))
-            for cand in range(m):
-                if rbit is not None and (table.colbits[cand] >> rbit) & 1:
-                    row.append(_ONE)
-                else:
-                    row.append(_ZERO)
-            rows.append(row)
-            rhs.append(p)
-    rows.append([_ONE] * (m + 1))
-    rhs.append(_ONE)
-    objective = [_ONE] + [_ZERO] * m
-    result = solve(LinearProgram(n=m + 1, objective=objective, maximize=True,
-                                 eq_rows=rows, eq_rhs=rhs))
-    if result.status == INFEASIBLE:
-        raise NotDecomposable(
-            "box is not a mixture of the parity box with a noncontextual box")
-    if result.status != OPTIMAL:
-        raise AssertionError(f"parity-strength LP returned {result.status}")
-    ps = result.value
-    if ps == 1:
-        return PeresStrength(ps, None)
-    scale = 1 / (1 - ps)
-    terms = [(table.ids[j], result.x[j + 1] * scale) for j in range(m)
-             if result.x[j + 1] > 0]
-    return PeresStrength(ps, nc_decomposition(terms, _mix(terms, _NC)))
+    column = [parity.contexts[i][j] for i, j in table.cells]
+    if sum(column) < 5:
+        # The parity box puts mass where the box is 0, which forces p = 0:
+        # the question is plain membership.
+        member, residual = nc_membership(box)
+        if member:
+            return PeresStrength(_ZERO, residual)
+    else:
+        # The membership system plus a column for the parity box's weight.
+        m = len(table.ids)
+        rows = [[q, *row] for q, row in zip(column, _cover_rows(table))]
+        result = solve(LinearProgram(
+            n=m + 1, objective=[_ONE] + [_ZERO] * m, maximize=True,
+            eq_rows=[*rows, [1] * (m + 1)], eq_rhs=[*table.rhs, _ONE]))
+        if result.status == OPTIMAL:
+            ps = result.value
+            if ps == 1:
+                return PeresStrength(ps, None)
+            scale = 1 / (1 - ps)
+            terms = [(table.ids[j], result.x[j + 1] * scale)
+                     for j in range(m) if result.x[j + 1] > 0]
+            # The residual is forced once p is: check the terms against it.
+            residual = Box(tuple(
+                tuple((b - ps * q) * scale for b, q in zip(dist, parity_dist))
+                for dist, parity_dist in zip(box.contexts, parity.contexts)))
+            return PeresStrength(ps, nc_decomposition(terms, residual))
+    raise NotDecomposable(
+        "box is not a mixture of the parity box with a noncontextual box")
 
 
 # ---------------------------------------------------------------------------
@@ -482,9 +477,8 @@ class _SpanFilter:
         # independent prefix column; _targets[i] is the target and
         # _reduced[i][j] candidate j reduced against the first i pivots.
         self._pivots: list[tuple[int, int, int, list[int]]] = []
-        scale = lcm(*[p.denominator for p in table.rhs])
-        self._targets = [[p.numerator * (scale // p.denominator)
-                          for p in table.rhs] + [scale]]
+        scale, target = _integers(table.rhs)
+        self._targets = [target + [scale]]
         self._reduced = [{j: _cell_column(bits, n_rows)
                           for j, bits in enumerate(table.colbits)}]
 
@@ -547,24 +541,16 @@ def _cell_column(bits: int, n_rows: int) -> list[int]:
     return [(bits >> r) & 1 for r in range(n_rows)] + [1]
 
 
-def _bareiss_step(v: list[int], pivot) -> list[int]:
-    """Clear ``v`` at the pivot's column; the division is exact (Bareiss)."""
-    pc, p, prev, row = pivot
-    f = v[pc]
-    if not f and p == prev:
-        return v  # most steps on 0/1 columns: nothing to clear, p/prev = 1
-    return [(p * x - f * y) // prev for x, y in zip(v, row)]
-
-
 def _echelon(rows, rank: int | None = None
              ) -> list[tuple[int, int, int, list[int]]]:
     """Fraction-free (Bareiss) forward elimination of integer rows.
 
     Each row is reduced against the pivots before it and, unless cleared,
     becomes the next pivot (column, value, previous pivot value, row) in the
-    form :class:`_SpanFilter` keeps, zero at every earlier pivot's column; so
-    the pivots count the rank.  A known ``rank`` stops the walk at that many
-    pivots.  The rows must hold ints: the exact division is floor division.
+    form :func:`~boxlab.exactlp._bareiss_step` takes and :class:`_SpanFilter`
+    keeps, zero at every earlier pivot's column; so the pivots count the
+    rank.  A known ``rank`` stops the walk at that many pivots.  The rows
+    must hold ints: the exact division is floor division.
     """
     pivots: list[tuple[int, int, int, list[int]]] = []
     for v in rows:
@@ -672,13 +658,20 @@ def is_supernoncontextual(box: Box, budget: int | None = None
     the budget-capped search refuted only supports smaller than 4.
     """
     result = min_nc_dimension(box, budget)
+    verdict = _supernoncontextual(result)
+    if verdict is None:
+        raise Inconclusive(
+            f"search refuted supports only up to size {result.dimension} "
+            f"(< {GLOBAL_QUANTUM_DIM}) before exhausting its budget")
+    return (verdict, result)
+
+
+def _supernoncontextual(result: DimensionResult) -> bool | None:
+    """Whether an NC search result exceeds the global dimension 4; None when
+    a budget-capped search refuted only supports smaller than 4."""
     if result.status == EXACT:
-        return (result.dimension > GLOBAL_QUANTUM_DIM, result)
-    if result.dimension >= GLOBAL_QUANTUM_DIM:
-        return (True, result)
-    raise Inconclusive(
-        f"search refuted supports only up to size {result.dimension} "
-        f"(< {GLOBAL_QUANTUM_DIM}) before exhausting its budget")
+        return result.dimension > GLOBAL_QUANTUM_DIM
+    return True if result.dimension >= GLOBAL_QUANTUM_DIM else None
 
 
 def min_lhv_dimension(marginal: BellMarginal,

@@ -13,7 +13,8 @@ is exact (Cramer's rule).  Only a drive-out pivot can be negative; it is
 followed by negating ``M`` and ``d``, so that ``d > 0`` and the signs of
 ``M`` are those of the true tableau.  The reduced-cost row is one more
 integer row on the same scale, pivoted with the others, so nothing is
-recomputed per iteration.
+recomputed per iteration.  The step (:func:`_bareiss_step`) and the lcm
+scaling (:func:`_integers`) also serve the subset search in :mod:`.decompose`.
 
 The pivots are those of the rational simplex on the unscaled program.
 Scaling a row leaves ``B^-1 A`` unchanged.  Each artificial column stays a
@@ -125,13 +126,11 @@ class _Tableau:
         self.cost = cost
 
     def pivot(self, row: int, col: int) -> None:
-        pivot_row = self.rows[row]
-        p = pivot_row[col]
-        d = self.d
-        self.rows = [target if r == row else
-                     _eliminate(target, pivot_row, p, d, col)
+        p = self.rows[row][col]
+        pivot = (col, p, self.d, self.rows[row])
+        self.rows = [target if r == row else _bareiss_step(target, pivot)
                      for r, target in enumerate(self.rows)]
-        self.cost = _eliminate(self.cost, pivot_row, p, d, col)
+        self.cost = _bareiss_step(self.cost, pivot)
         self.basis[row] = col
         if p < 0:
             # Only drive-out pivots can be negative; keep d > 0 so the
@@ -173,18 +172,21 @@ class _Tableau:
             self.pivot(leaving, entering)
 
 
-def _eliminate(target: list[int], pivot_row: list[int], p: int, d: int,
-               col: int) -> list[int]:
-    """One row of an integer pivot: ``(p*x - f*y) // d``, exact."""
-    f = target[col]
+def _bareiss_step(v: list[int], pivot: tuple[int, int, int, list[int]]
+                  ) -> list[int]:
+    """Clear ``v`` at the pivot ``(column, p, d, row)``, ``d`` the previous
+    pivot value: ``x -> (p*x - f*y) // d`` with ``f = v[column]``, exact
+    (Cramer's rule); with ``f = 0`` that is ``v`` scaled by ``p/d``."""
+    col, p, d, row = pivot
+    f = v[col]
     if f == 0:
         if p == d:
-            return target
-        return [v * p // d for v in target]
-    return [(v * p - f * y) // d for v, y in zip(target, pivot_row)]
+            return v
+        return [x * p // d for x in v]
+    return [(x * p - f * y) // d for x, y in zip(v, row)]
 
 
-def _integers(values: list[Fraction]) -> tuple[int, list[int]]:
+def _integers(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     """``(s, s*values)`` with ``s`` the lcm of the values' denominators."""
     s = lcm(*(v.denominator for v in values))
     return s, [v.numerator * (s // v.denominator) for v in values]
@@ -295,12 +297,17 @@ def _verify_solution(objective, eq_rows, eq_rhs, le_rows, le_rhs,
                      x: list[Fraction], value: Fraction) -> None:
     if any(v < 0 for v in x):
         raise AssertionError("simplex returned a negative variable")
-    for row, b in zip(eq_rows, eq_rhs):
-        if sum((c * v for c, v in zip(row, x)), _ZERO) != b:
-            raise AssertionError("simplex solution violates an equality")
-    for row, b in zip(le_rows, le_rhs):
-        if sum((c * v for c, v in zip(row, x)), _ZERO) > b:
-            raise AssertionError("simplex solution violates an inequality")
-    if sum((c * v for c, v in zip(objective, x)), _ZERO) != value:
+    # Sum only nonzero products: a vertex has at most as many nonzero
+    # entries as rows, and most coefficients here are 0.
+    nonzero = [(j, v) for j, v in enumerate(x) if v]
+
+    def dot(row) -> Fraction:
+        return sum((row[j] * v for j, v in nonzero if row[j]), _ZERO)
+
+    if any(dot(row) != b for row, b in zip(eq_rows, eq_rhs)):
+        raise AssertionError("simplex solution violates an equality")
+    if any(dot(row) > b for row, b in zip(le_rows, le_rhs)):
+        raise AssertionError("simplex solution violates an inequality")
+    if dot(objective) != value:
         raise AssertionError("objective value mismatch")
 

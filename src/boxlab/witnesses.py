@@ -21,11 +21,10 @@ from typing import Mapping
 from .decompose import (
     DimensionResult,
     EXACT,
-    Inconclusive,
     _budget_value,
+    _supernoncontextual,
     bell_local_membership,
     contextual_fraction,
-    is_supernoncontextual,
     min_lhv_dimension,
     min_nc_dimension,
     peres_strength,
@@ -183,10 +182,7 @@ def classify(box: Box, budget: int | None = None,
     supernoncontextual: bool | None = None
     if not contextual and not skip_dims:
         min_nc = min_nc_dimension(box, budget)
-        try:
-            supernoncontextual, _ = is_supernoncontextual(box, budget)
-        except Inconclusive:
-            supernoncontextual = None
+        supernoncontextual = _supernoncontextual(min_nc)
 
     marginal = bell_marginal(box)
     local, _ = bell_local_membership(marginal)

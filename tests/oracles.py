@@ -94,10 +94,13 @@ def refute_all_supports_below(columns, target, max_size) -> tuple[int, int]:
                 suspects += 1
                 cols = [columns[j][1] for j in idx]
                 labels = [columns[j][0] for j in idx]
-                assert not _exactly_feasible(cols, target), (
-                    f"support {labels} of size {size} reproduces the target, "
-                    f"contradicting the claimed minimum > {max_size}"
-                )
+                # Raised explicitly: this is not a test module, so pytest
+                # does not rewrite an assert here, and ``python -O`` drops it.
+                if _exactly_feasible(cols, target):
+                    raise AssertionError(
+                        f"support {labels} of size {size} reproduces the "
+                        f"target, contradicting the claimed minimum > "
+                        f"{max_size}")
             checked += 1
     return checked, suspects
 

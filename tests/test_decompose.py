@@ -51,6 +51,7 @@ from boxlab.decompose import (
     product_terms_marginal,
 )
 from boxlab.errors import BoxParseError, ParameterOutOfRange
+from boxlab.exactlp import INFEASIBLE, LinearProgram, LPResult, solve
 from boxlab.quantum import make_observables, make_state, quantum_box
 from boxlab.scenario import bell_marginal, mix_boxes, validate_bell_marginal
 from boxlab.vertices import det_box, enumerate_local_vertices, enumerate_nc_vertices
@@ -338,6 +339,130 @@ class TestPeresStrength:
         with pytest.raises(NotDecomposable, match="not a mixture"):
             peres_strength(fx.build_box(fx.PERES_RELABELLED_TABLE))
 
+    def test_residual_is_checked_against_the_box(self, monkeypatch):
+        # Shifting weight between two residual vertices keeps p and a valid
+        # decomposition of the shifted mix, but not of (box - p*parity)/(1-p).
+        real_solve = decompose.solve
+
+        def shifted(lp):
+            result = real_solve(lp)
+            x = list(result.x)
+            a, b = [j for j in range(1, len(x)) if x[j] > 0][:2]
+            delta = min(x[a], x[b]) / 2
+            x[a] -= delta
+            x[b] += delta
+            return LPResult(result.status, result.value, tuple(x))
+
+        monkeypatch.setattr(decompose, "solve", shifted)
+        with pytest.raises(ValueError, match="does not reconstruct"):
+            peres_strength(noise_box())
+
+
+PERES_FIXTURE_TABLES = [
+    name for name in dir(fx)
+    if name.endswith("_TABLE") and len(getattr(fx, name)) == 5
+]
+
+
+def reference_peres_strength(box):
+    """The Peres-strength LP as one equation per cell, of all 28, where the
+    box or the parity box is positive; a cell where only the parity box is
+    positive forces p = 0.  Returns ``(p, residual terms)``, the terms None
+    when p = 1, or None when the LP is infeasible."""
+    parity = peres_box()
+    table = decompose._cell_table(box, decompose._NC)
+    cell_index = {cell: r for r, cell in enumerate(table.cells)}
+    m = len(table.ids)
+    rows, rhs = [], []
+    for i in range(5):
+        for j, p in enumerate(box.contexts[i]):
+            pp = parity.contexts[i][j]
+            if p == 0 and pp == 0:
+                continue
+            r = cell_index.get((i, j))
+            rows.append([pp] + [Fraction(r is not None and (bits >> r) & 1)
+                                for bits in table.colbits])
+            rhs.append(p)
+    rows.append([Fraction(1)] * (m + 1))
+    rhs.append(Fraction(1))
+    result = solve(LinearProgram(
+        n=m + 1, objective=[Fraction(1)] + [Fraction(0)] * m, maximize=True,
+        eq_rows=rows, eq_rhs=rhs))
+    if result.status == INFEASIBLE:
+        return None
+    ps = result.value
+    if ps == 1:
+        return ps, None
+    terms = tuple((table.ids[j], result.x[j + 1] / (1 - ps))
+                  for j in range(m) if result.x[j + 1] > 0)
+    return ps, terms
+
+
+def parity_outside_support(box):
+    return any(q > 0 and p == 0 for q, p in
+               zip(peres_box().entries(), box.entries()))
+
+
+def sparse_mixture(rng, extra=None):
+    """A few seeded deterministic vertices, plus ``extra`` when given, with
+    random positive weights."""
+    vertices = enumerate_nc_vertices()
+    parts = [box for _, box in rng.sample(vertices, rng.randint(1, 5))]
+    if extra is not None:
+        parts.append(extra)
+    weights = [Fraction(rng.randint(1, 9)) for _ in parts]
+    total = sum(weights)
+    return mix_boxes([(w / total, box) for w, box in zip(weights, parts)])
+
+
+SPARSE_MIXTURES = (
+    [("vertices", seed, None) for seed in range(8)]
+    + [("parity", seed, "PERES_TABLE") for seed in range(8)]
+    + [("relabelled", seed, "PERES_RELABELLED_TABLE") for seed in range(8)])
+
+
+class TestPeresStrengthMatchesReference:
+    """The cell-table LP against the 28-cell LP it replaced: equal
+    value, equal residual box, equal NotDecomposable.  Where the parity box
+    has mass outside the box's support, p is forced to 0 and the residual is
+    the membership LP's decomposition; on every box here its terms are the
+    reference's too.  The relabelled seeds 1 and 4 are NotDecomposable."""
+
+    @staticmethod
+    def assert_matches(box):
+        expected = reference_peres_strength(box)
+        if expected is None:
+            with pytest.raises(NotDecomposable, match="not a mixture"):
+                peres_strength(box)
+            return
+        ps = peres_strength(box)
+        value, terms = expected
+        assert ps.value == value
+        if terms is None:
+            assert ps.residual is None
+            return
+        rebuilt = decompose._mix(terms, decompose._NC)
+        assert ps.residual.reconstruct().contexts == rebuilt.contexts
+        assert ps.residual.terms == terms
+
+    @pytest.mark.parametrize("name", PERES_FIXTURE_TABLES)
+    def test_fixtures(self, name):
+        self.assert_matches(fx.build_box(getattr(fx, name)))
+
+    @pytest.mark.parametrize("w", W_GRID)
+    def test_noisy_grid(self, w):
+        self.assert_matches(noisy_peres_box(w))
+
+    @pytest.mark.parametrize("kind, seed, extra", SPARSE_MIXTURES)
+    def test_sparse_vertex_mixtures(self, kind, seed, extra):
+        rng = random.Random(f"{kind}-{seed}")
+        box = sparse_mixture(
+            rng, None if extra is None else fx.build_box(getattr(fx, extra)))
+        # Vertices, alone or with the relabelled parity box, leave parity
+        # mass outside the support; a parity component covers it.
+        assert parity_outside_support(box) == (kind != "parity")
+        self.assert_matches(box)
+
 
 NC_DIMENSION_CASES = [
     ("noisy-third", lambda: noisy_peres_box("1/3"), 8),
@@ -463,6 +588,16 @@ class TestExhaustiveRefutation:
         checked, _ = oracles.refute_all_supports_below(support, target, minimum - 1)
         assert checked > 0
         assert min_lhv_dimension(marginal).dimension == minimum
+
+    def test_oracle_rejects_a_claimed_minimum_that_is_too_high(self):
+        # A mixture of two vertices refutes a claimed minimum above 2, under
+        # ``python -O`` too.
+        (_, first), (_, second) = enumerate_nc_vertices()[:2]
+        target = oracles.box_vector(mix_boxes([("1/3", first),
+                                               ("2/3", second)]))
+        support = oracles.support_columns(nc_columns(), target)
+        with pytest.raises(AssertionError, match="reproduces the target"):
+            oracles.refute_all_supports_below(support, target, 2)
 
 
 LHV_DIMENSION_CASES = [
@@ -823,8 +958,10 @@ def bits_table(colbits, mixed, weights, n_rows):
     whose target mixes the columns ``mixed`` with ``weights``."""
     rhs = tuple(sum((w for w, bits in zip(weights, mixed) if bits >> r & 1),
                     Fraction(0)) for r in range(n_rows))
-    return decompose._CellTable(tuple(range(len(colbits))), colbits, rhs,
-                                (1 << n_rows) - 1, (), {})
+    return decompose._CellTable(
+        ids=tuple(range(len(colbits))), colbits=colbits,
+        cells=tuple((0, r) for r in range(n_rows)), rhs=rhs,
+        full_mask=(1 << n_rows) - 1, context_cell_counts=())
 
 
 def assert_span_filter_matches_ranks(table, max_size):

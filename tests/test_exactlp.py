@@ -1,6 +1,7 @@
 """Exact rational linear programming: correctness, degeneracy, cross-checks."""
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -435,3 +436,91 @@ class TestInfeasibilityCertificate:
         assert self.holds(rows, rhs, y)
         with pytest.raises(AssertionError, match="column 0"):
             exactlp._verify_infeasibility(rows, rhs, [-v for v in y])
+
+
+class TestSolutionCheck:
+    """``_verify_solution`` on a small program, with ``x`` corrupted to hit
+    each of its four checks."""
+
+    # max x0 + x1  s.t.  x0 + x1 + x2 = 2,  x0 <= 1,  x >= 0.
+    OBJECTIVE = [F(1), F(1), F(0)]
+    EQ_ROWS, EQ_RHS = [[F(1), F(1), F(1)]], [F(2)]
+    LE_ROWS, LE_RHS = [[F(1), F(0), F(0)]], [F(1)]
+
+    def check(self, x, value):
+        exactlp._verify_solution(self.OBJECTIVE, self.EQ_ROWS, self.EQ_RHS,
+                                 self.LE_ROWS, self.LE_RHS,
+                                 [F(v) for v in x], F(value))
+
+    def test_optimum_passes(self):
+        lp = LinearProgram(n=3, objective=self.OBJECTIVE,
+                           eq_rows=self.EQ_ROWS, eq_rhs=self.EQ_RHS,
+                           le_rows=self.LE_ROWS, le_rhs=self.LE_RHS)
+        result = solve(lp)
+        assert result.value == 2
+        self.check(result.x, result.value)
+        self.check([1, 1, 0], 2)
+
+    @pytest.mark.parametrize("x, value, message", [
+        ([2, 1, -1], 3, "negative variable"),
+        ([1, 0, 0], 1, "violates an equality"),
+        ([2, 0, 0], 2, "violates an inequality"),
+        ([1, 1, 0], 3, "objective value mismatch"),
+        ([0, 0, 2], 1, "objective value mismatch"),
+    ])
+    def test_corrupted_solution_is_rejected(self, x, value, message):
+        with pytest.raises(AssertionError, match=message):
+            self.check(x, value)
+
+
+def checked_step(paths):
+    """``exactlp._bareiss_step``, checking every result against the plain
+    formula ``(p*x - f*y) / d`` with no remainder, and counting in ``paths``
+    which of its three paths it took: clear (f != 0), keep (f = 0, p = d) or
+    scale (f = 0, p != d)."""
+    step = exactlp._bareiss_step
+
+    def checked(v, pivot):
+        col, p, d, row = pivot
+        f = v[col]
+        result = step(v, pivot)
+        assert len(result) == len(v)
+        for x, y, got in zip(v, row, result):
+            quotient, remainder = divmod(p * x - f * y, d)
+            assert remainder == 0 and got == quotient
+        paths["clear" if f else "keep" if p == d else "scale"] += 1
+        return result
+
+    return checked
+
+
+class TestBareissStep:
+    """The one elimination step the simplex and the subset search share."""
+
+    def test_echelon_steps_are_exact(self, monkeypatch):
+        paths = Counter()
+        monkeypatch.setattr(decompose, "_bareiss_step", checked_step(paths))
+        rng = random.Random(20261018)
+        for _ in range(60):
+            n_rows, n_cols = rng.randint(2, 7), rng.randint(2, 7)
+            rows = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 5))
+                     for _ in range(n_cols)] for _ in range(n_rows)]
+            pivots = decompose._echelon(rows)
+            assert len(pivots) == np.linalg.matrix_rank(
+                np.array(rows, dtype=float))
+        assert all(paths[path] for path in ("clear", "keep", "scale")), paths
+
+    def test_search_and_simplex_steps_are_exact(self, monkeypatch):
+        # The span test and the tableau call the same step, and both take
+        # its scale path.
+        search, simplex = Counter(), Counter()
+        monkeypatch.setattr(decompose, "_bareiss_step", checked_step(search))
+        monkeypatch.setattr(exactlp, "_bareiss_step", checked_step(simplex))
+        box = noise_box()
+        table = decompose._cell_table(box, decompose._NC)
+        result = decompose._min_subset_search(table, 10_000, box,
+                                              decompose._NC)
+        assert (result.dimension, result.nodes_used) == (4, 47)
+        for lp in classify_programs(noisy_peres_box("1/3")):
+            solve(lp)
+        assert search["scale"] and simplex["scale"]
