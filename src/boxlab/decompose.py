@@ -392,34 +392,30 @@ def peres_strength(box: Box) -> PeresStrength:
     # Support-filtered candidates are exact here too: on cells where the box
     # is 0, every term of the nonnegative combination must vanish.
     table = _cell_table(box, _NC)
+    m = len(table.ids)
+    # The membership system plus a column for the parity box's weight.  Each
+    # candidate covers 5 support cells, where the box sums to 5, so adding
+    # the cell rows gives p*sum(column) + 5*(1 - p) = 5: parity mass outside
+    # the support (sum(column) < 5) forces p = 0.
     column = [parity.contexts[i][j] for i, j in table.cells]
-    if sum(column) < 5:
-        # The parity box puts mass where the box is 0, which forces p = 0:
-        # the question is plain membership.
-        member, residual = nc_membership(box)
-        if member:
-            return PeresStrength(_ZERO, residual)
-    else:
-        # The membership system plus a column for the parity box's weight.
-        m = len(table.ids)
-        rows = [[q, *row] for q, row in zip(column, _cover_rows(table))]
-        result = solve(LinearProgram(
-            n=m + 1, objective=[_ONE] + [_ZERO] * m, maximize=True,
-            eq_rows=[*rows, [1] * (m + 1)], eq_rhs=[*table.rhs, _ONE]))
-        if result.status == OPTIMAL:
-            ps = result.value
-            if ps == 1:
-                return PeresStrength(ps, None)
-            scale = 1 / (1 - ps)
-            terms = [(table.ids[j], result.x[j + 1] * scale)
-                     for j in range(m) if result.x[j + 1] > 0]
-            # The residual is forced once p is: check the terms against it.
-            residual = Box(tuple(
-                tuple((b - ps * q) * scale for b, q in zip(dist, parity_dist))
-                for dist, parity_dist in zip(box.contexts, parity.contexts)))
-            return PeresStrength(ps, nc_decomposition(terms, residual))
-    raise NotDecomposable(
-        "box is not a mixture of the parity box with a noncontextual box")
+    rows = [[q, *row] for q, row in zip(column, _cover_rows(table))]
+    result = solve(LinearProgram(
+        n=m + 1, objective=[_ONE] + [_ZERO] * m, maximize=True,
+        eq_rows=[*rows, [1] * (m + 1)], eq_rhs=[*table.rhs, _ONE]))
+    if result.status != OPTIMAL:
+        raise NotDecomposable(
+            "box is not a mixture of the parity box with a noncontextual box")
+    ps = result.value
+    if ps == 1:
+        return PeresStrength(ps, None)
+    scale = 1 / (1 - ps)
+    terms = [(table.ids[j], result.x[j + 1] * scale)
+             for j in range(m) if result.x[j + 1] > 0]
+    # The residual is forced once p is: check the terms against it.
+    residual = Box(tuple(
+        tuple((b - ps * q) * scale for b, q in zip(dist, parity_dist))
+        for dist, parity_dist in zip(box.contexts, parity.contexts)))
+    return PeresStrength(ps, nc_decomposition(terms, residual))
 
 
 # ---------------------------------------------------------------------------
