@@ -33,11 +33,17 @@ the target — a combinatorial infeasibility proof for everything smaller), a
 Caratheodory cap (no minimal decomposition can need more than the affine
 dimension of the candidate hull plus one), and an integer span test (a
 covering support whose columns are dependent, or do not span the target, is
-refuted by fraction-free elimination that reuses the work of the prefix it
-shares with the previous support).  One integer eliminator serves the span
-test, the survivors' weights (back-substituted in integers; ``Fraction``
-appears only in the final quotients) and the ranks behind the cap and the
-affine dimensions, with the exact simplex's step and integer scaling.
+refuted by fraction-free elimination).  The span test runs on vectors as
+long as the rank of the candidates and the target: the rows kept are a row
+basis of the whole cell system, target column included, so no linear
+relation is lost.  Each level is walked prefix by prefix in
+``itertools.combinations`` order; a prefix is reduced once, reusing the
+part it shares with the previous one, and each last index that completes
+the cover costs one elimination step and a proportionality test.  One
+integer eliminator serves the span test, the survivors' weights
+(back-substituted in integers; ``Fraction`` appears only in the final
+quotients), the rank behind the cap and the affine dimensions, with the
+exact simplex's step and integer scaling.
 """
 
 from __future__ import annotations
@@ -455,101 +461,145 @@ class _SpanFilter:
     it has unique weights (:meth:`weights`).  Refuting dependent columns is
     exact in the level search: it reaches size k only after refuting every
     smaller support, and a nonnegative solution on dependent columns would
-    give one (moving along a null vector drives a weight to zero).  Columns
-    are reduced one at a time by fraction-free (Bareiss) elimination in
-    Python ints, the target scaled by the lcm of its denominators.  The
-    reduced rows and target of every prefix of the last support stay, so a
-    support sharing a prefix with it (the next ``itertools.combinations``
-    subset does) reduces only its new suffix; a candidate already reduced
-    against a kept prefix resumes from there.  The state lives for one
-    search: at most ``cap`` pivots and targets, and ``cap + 1`` maps of
-    reduced candidates.
+    give one (moving along a null vector drives a weight to zero).
+
+    The vectors are rank-sized.  One fraction-free (Bareiss) echelon pass
+    over the rows of ``[cell rows; sum row | scaled target]`` keeps the rows
+    that become pivots, and every candidate column and the target keep only
+    their entries there.  The other rows are combinations of the kept ones,
+    so a combination of columns and target that vanishes on the kept rows
+    vanishes everywhere: every linear relation among them survives, also
+    when the target lies outside the candidates' span.  The pivots in
+    candidate columns count the candidates' rank, :attr:`rank`.
+
+    A support is entered as a prefix (:meth:`enter`) and then tested one
+    last column at a time (:meth:`spans`), in the order the search walks
+    them.  Prefix columns are reduced one at a time in Python ints, the
+    target scaled by the lcm of its denominators.  The reduced rows and
+    target of every prefix of the last prefix stay, so a prefix sharing
+    its start with it reduces only its new suffix; a candidate already
+    reduced against a kept prefix resumes from there.  A last column costs
+    one more step and a proportionality test: the prefix and column ``j``
+    span the target iff the reduced target is a multiple of ``j``'s
+    reduced column, the residual a pivot on it would leave.  The state
+    lives for one search: at most ``rank`` pivots and targets, and
+    ``rank + 1`` maps of reduced candidates.
     """
 
     def __init__(self, table: _CellTable):
-        n_rows = len(table.rhs)
-        self._path: list[int] = []   # the last support's reduced prefix
+        n = len(table.ids)
+        scale, target = _integers(table.rhs)
+        rows = [[(bits >> r) & 1 for bits in table.colbits] + [t]
+                for r, t in enumerate(target)]
+        rows.append([1] * n + [scale])
+        basis = _echelon(rows)
+        keep = [r for r, _ in basis]
+        #: Rank of the candidate columns: their hull's affine dimension
+        #: plus one, the Caratheodory cap.
+        self.rank = sum(pc < n for _, (pc, *_) in basis)
+        self._scale = scale
+        self._path: list[int] = []   # the last prefix entered
         # One pivot (column, value, previous pivot value, reduced row) per
         # independent prefix column; _targets[i] is the target and
         # _reduced[i][j] candidate j reduced against the first i pivots.
         self._pivots: list[tuple[int, int, int, list[int]]] = []
-        scale, target = _integers(table.rhs)
-        self._targets = [target + [scale]]
-        self._reduced = [{j: _cell_column(bits, n_rows)
-                          for j, bits in enumerate(table.colbits)}]
+        self._targets = [[rows[r][-1] for r in keep]]
+        self._reduced = [{j: [rows[r][j] for r in keep] for j in range(n)}]
 
-    def refutes(self, subset: Sequence[int]) -> bool:
-        """True when the candidates ``subset`` names cannot carry the target
-        with unique weights (dependent columns, or target outside the span)."""
+    def enter(self, prefix: Sequence[int]) -> bool:
+        """Reduce the candidates ``prefix`` names; False when their columns
+        are dependent, so that every support extending them is refuted."""
         path, pivots, targets = self._path, self._pivots, self._targets
         reduced = self._reduced
         keep = 0
-        for old, new in zip(path, subset):
+        for old, new in zip(path, prefix):
             if old != new:
                 break
             keep += 1
         if keep > len(pivots):
-            return True  # the shared prefix already holds a dependent column
+            return False  # the shared prefix already holds a dependent column
         del path[keep:], pivots[keep:], targets[keep + 1:], reduced[keep + 1:]
-        for j in subset[keep:]:
+        for j in prefix[keep:]:
             path.append(j)
-            start = len(pivots)
-            while j not in reduced[start]:
-                start -= 1
-            v = reduced[start][j]
-            for level in range(start, len(pivots)):
-                v = _bareiss_step(v, pivots[level])
-                reduced[level + 1][j] = v
+            v = self._column(j)
             for pc, x in enumerate(v):
                 if x:
                     break
             else:
-                return True  # column j lies in the span of the prefix
+                return False  # column j lies in the span of the prefix
             pivot = (pc, x, pivots[-1][1] if pivots else 1, v)
             pivots.append(pivot)
             targets.append(_bareiss_step(targets[-1], pivot))
             reduced.append({})
-        return any(targets[-1])
+        return True
+
+    def spans(self, j: int) -> bool:
+        """Whether the entered prefix and candidate ``j`` have independent
+        columns that span the target."""
+        v = self._column(j)
+        for pc, p in enumerate(v):
+            if p:
+                break
+        else:
+            return False
+        target = self._targets[-1]
+        f = target[pc]
+        return not any(x * p != f * y for x, y in zip(target, v))
+
+    def refutes(self, subset: Sequence[int]) -> bool:
+        """True when the candidates ``subset`` names cannot carry the target
+        with unique weights (dependent columns, or target outside the span)."""
+        return not (self.enter(subset[:-1]) and self.spans(subset[-1]))
+
+    def _column(self, j: int) -> list[int]:
+        """Candidate ``j`` reduced against every pivot of the entered prefix,
+        resumed from the deepest kept reduction."""
+        pivots, reduced = self._pivots, self._reduced
+        start = len(pivots)
+        while j not in reduced[start]:
+            start -= 1
+        v = reduced[start][j]
+        for level in range(start, len(pivots)):
+            v = _bareiss_step(v, pivots[level])
+            reduced[level + 1][j] = v
+        return v
 
     def weights(self, subset: Sequence[int]) -> list[Fraction]:
         """The unique weights of a support that :meth:`refutes` passed.
 
         Its columns are independent and span the target, so the integer
-        system (cell rows and the sum row, target scaled) echelons to one
-        pivot per column and the rows past the last pivot add nothing.  The
-        last pivot value d is the determinant of the pivot rows, so by
-        Cramer's rule d times each scaled weight is an integer, and
-        back-substitution in those integers divides exactly.
+        system (kept rows, target scaled) echelons to one pivot per column
+        and the rows past the last pivot add nothing.  The last pivot value
+        d is the determinant of the pivot rows, so by Cramer's rule d times
+        each scaled weight is an integer, and back-substitution in those
+        integers divides exactly.
         """
         columns = [self._reduced[0][j] for j in subset]
-        target = self._targets[0]
-        pivots = _echelon([list(row) for row in zip(*columns, target)],
-                          len(subset))
+        pivots = [pivot for _, pivot in _echelon(
+            [list(row) for row in zip(*columns, self._targets[0])],
+            len(subset))]
         d = pivots[-1][1]
         x = [0] * len(subset)
         for pc, p, _, row in reversed(pivots):
             x[pc] = (d * row[-1] - sum(a * b for a, b in zip(row, x))) // p
-        return [Fraction(v, d * target[-1]) for v in x]
-
-
-def _cell_column(bits: int, n_rows: int) -> list[int]:
-    """A candidate's 0/1 cell indicators followed by its 1 in the sum row."""
-    return [(bits >> r) & 1 for r in range(n_rows)] + [1]
+        return [Fraction(v, d * self._scale) for v in x]
 
 
 def _echelon(rows, rank: int | None = None
-             ) -> list[tuple[int, int, int, list[int]]]:
+             ) -> list[tuple[int, tuple[int, int, int, list[int]]]]:
     """Fraction-free (Bareiss) forward elimination of integer rows.
 
     Each row is reduced against the pivots before it and, unless cleared,
     becomes the next pivot (column, value, previous pivot value, row) in the
     form :func:`~boxlab.exactlp._bareiss_step` takes and :class:`_SpanFilter`
-    keeps, zero at every earlier pivot's column; so the pivots count the
-    rank.  A known ``rank`` stops the walk at that many pivots.  The rows
-    must hold ints: the exact division is floor division.
+    keeps, zero at every earlier pivot's column.  Each pivot comes paired
+    with the index of the row it came from, so the pivots count the rank and
+    name a basis of the rows.  A known ``rank`` stops the walk at that many
+    pivots.  The rows must hold ints: the exact division is floor division.
     """
+    basis: list[int] = []
     pivots: list[tuple[int, int, int, list[int]]] = []
-    for v in rows:
+    for i, v in enumerate(rows):
         if len(pivots) == rank:
             break
         for pivot in pivots:
@@ -557,41 +607,62 @@ def _echelon(rows, rank: int | None = None
         pc = next((c for c, x in enumerate(v) if x), None)
         if pc is not None:
             pivots.append((pc, v[pc], pivots[-1][1] if pivots else 1, v))
-    return pivots
+            basis.append(i)
+    return list(zip(basis, pivots))
 
 
 def _min_subset_search(table: _CellTable, budget: int, target,
                        vs: _VertexSet) -> DimensionResult:
+    """Level walk from the coverage floor up to the Caratheodory cap.
+
+    Level k visits the supports of ``itertools.combinations(range(n), k)``
+    in that order, as each prefix of ``combinations(range(n - 1), k - 1)``
+    followed by its last index upward.  A prefix's cover mask is made once,
+    and its columns are reduced only when some last index completes the
+    cover.  A node is one support visited: a prefix stopped at a hit counts
+    the supports up to and including it.
+    """
     n = len(table.ids)
-    rank = _table_rank(table)
-    cap = min(n, rank + 1)
+    colbits, full_mask = table.colbits, table.full_mask
     # Every vertex covers exactly one cell per context, so a feasible support
     # needs at least as many vertices as the largest per-context cell count.
     k_floor = max(table.context_cell_counts)
-    nodes = 0
-    indices = range(n)
+    if comb(n, k_floor) > budget:  # no level fits the budget: no filter
+        return DimensionResult(k_floor - 1, LOWER_BOUND_ONLY, None, n, 0)
     span = _SpanFilter(table)
+    cap = min(n, span.rank)
+    nodes = 0
     for k in range(k_floor, cap + 1):
         if nodes + comb(n, k) > budget:
             return DimensionResult(k - 1, LOWER_BOUND_ONLY, None, n, nodes)
-        for subset in itertools.combinations(indices, k):
-            nodes += 1
+        for prefix in itertools.combinations(range(n - 1), k - 1):
+            start = prefix[-1] + 1 if prefix else 0
             mask = 0
-            for j in subset:
-                mask |= table.colbits[j]
-            if mask != table.full_mask or span.refutes(subset):
+            for j in prefix:
+                mask |= colbits[j]
+            need = full_mask ^ mask
+            covering = [j for j in range(start, n)
+                        if colbits[j] & need == need]
+            if not covering or not span.enter(prefix):
+                nodes += n - start
                 continue
-            q = span.weights(subset)
-            if any(w < 0 for w in q):
-                continue
-            if not all(q):
-                # A nonnegative solution with a zero weight is a smaller
-                # support, and every smaller support is refuted by now.
-                raise AssertionError(
-                    "smaller support escaped the refuted levels")
-            terms = [(table.ids[j], w) for j, w in zip(subset, q)]
-            return DimensionResult(k, EXACT, _decomposition(terms, target, vs),
-                                   n, nodes)
+            for j in covering:
+                if not span.spans(j):
+                    continue
+                subset = (*prefix, j)
+                q = span.weights(subset)
+                if any(w < 0 for w in q):
+                    continue
+                if not all(q):
+                    # A nonnegative solution with a zero weight is a smaller
+                    # support, and every smaller support is refuted by now.
+                    raise AssertionError(
+                        "smaller support escaped the refuted levels")
+                terms = [(table.ids[i], w) for i, w in zip(subset, q)]
+                return DimensionResult(
+                    k, EXACT, _decomposition(terms, target, vs), n,
+                    nodes + j - start + 1)
+            nodes += n - start
     raise AssertionError(
         f"no decomposition within the Caratheodory cap {cap} ({vs.name})")
 
@@ -603,12 +674,6 @@ def _affine_rank(vectors) -> int:
     base = vectors[0]
     return len(_echelon([[a - b for a, b in zip(v, base)]
                          for v in vectors[1:]]))
-
-
-def _table_rank(table: _CellTable) -> int:
-    """Exact affine rank of the candidate set (dimension of its hull)."""
-    return _affine_rank([_cell_column(bits, len(table.rhs))
-                         for bits in table.colbits])
 
 
 def _min_dimension(target, budget: int | None, vs: _VertexSet, membership,

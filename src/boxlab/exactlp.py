@@ -78,12 +78,18 @@ class LPResult:
     x: tuple[Fraction, ...] | None = None
 
 
-def _validated(lp: LinearProgram) -> tuple[list[Fraction], list[list[Fraction]],
-                                           list[Fraction], list[list[Fraction]],
-                                           list[Fraction]]:
+def _rational(v) -> int | Fraction:
+    """``v`` itself when it is exactly an int or a Fraction, else
+    ``Fraction(v)`` (floats, strings, bools and other numbers)."""
+    return v if type(v) is int or type(v) is Fraction else Fraction(v)
+
+
+def _validated(lp: LinearProgram) -> tuple[list, list[list], list,
+                                           list[list], list]:
+    """The program's entries as ints and Fractions, lengths checked."""
     if lp.n < 0:
         raise MalformedProgram("variable count must be nonnegative")
-    objective = [Fraction(v) for v in lp.objective]
+    objective = [_rational(v) for v in lp.objective]
     if len(objective) != lp.n:
         raise MalformedProgram(
             f"objective length {len(objective)} != variable count {lp.n}")
@@ -91,14 +97,14 @@ def _validated(lp: LinearProgram) -> tuple[list[Fraction], list[list[Fraction]],
         raise MalformedProgram("eq_rows and eq_rhs lengths differ")
     if len(lp.le_rows) != len(lp.le_rhs):
         raise MalformedProgram("le_rows and le_rhs lengths differ")
-    eq_rows = [[Fraction(v) for v in row] for row in lp.eq_rows]
-    le_rows = [[Fraction(v) for v in row] for row in lp.le_rows]
+    eq_rows = [[_rational(v) for v in row] for row in lp.eq_rows]
+    le_rows = [[_rational(v) for v in row] for row in lp.le_rows]
     for row in eq_rows + le_rows:
         if len(row) != lp.n:
             raise MalformedProgram(
                 f"constraint row length {len(row)} != variable count {lp.n}")
-    eq_rhs = [Fraction(v) for v in lp.eq_rhs]
-    le_rhs = [Fraction(v) for v in lp.le_rhs]
+    eq_rhs = [_rational(v) for v in lp.eq_rhs]
+    le_rhs = [_rational(v) for v in lp.le_rhs]
     return objective, eq_rows, eq_rhs, le_rows, le_rhs
 
 

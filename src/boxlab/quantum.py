@@ -1,7 +1,9 @@
 """Two-qubit states, observable assignments, and quantum box generation.
 
 Quantum arithmetic is floating point (numpy, double precision); all polytope
-work elsewhere in the package is exact-rational.  :func:`rationalize_box` is
+work elsewhere in the package is exact-rational.  numpy is imported on first
+quantum use (:func:`_qubit`), so the exact layers and the commands that make
+no quantum box neither load nor need it.  :func:`rationalize_box` is
 the single bridge between the two worlds: it either lands on an exactly valid
 :class:`~boxlab.scenario.Box` or raises :class:`NoExactRationalization`.
 
@@ -15,9 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from functools import lru_cache
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
     BoxValidationError,
@@ -36,6 +38,9 @@ from .scenario import (
     validate_box,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 HERMITIAN_TOL = 1e-12
 COMMUTATOR_TOL = 1e-10
 EIGENVALUE_TOL = 1e-10
@@ -43,14 +48,29 @@ PROBABILITY_TOL = 1e-12
 DEFAULT_MAX_DENOMINATOR = 4096
 DEFAULT_TOLERANCE = 1e-9
 
-I2 = np.eye(2, dtype=complex)
-X = np.array([[0, 1], [1, 0]], dtype=complex)
-Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
 STATE_FAMILIES = ("max_entangled", "werner", "cc", "rank2", "rank3_rho",
                   "rank3_sigma")
 OBSERVABLE_SETS = ("peres", "product", "rotated")
+
+
+@lru_cache(maxsize=None)
+def _qubit() -> SimpleNamespace:
+    """numpy (``np``), the matrices ``I2``, ``X``, ``Z`` and the unit
+    eigenkets of Z (``ket0``, ``ket1``), X (``plus``, ``minus``) and Y
+    (``plus_y``, ``minus_y``), made on first use."""
+    import numpy as np
+
+    def ket(*amplitudes: complex) -> np.ndarray:
+        v = np.array(amplitudes, dtype=complex)
+        return v / np.linalg.norm(v)
+
+    return SimpleNamespace(
+        np=np, ket=ket,
+        I2=np.eye(2, dtype=complex),
+        X=np.array([[0, 1], [1, 0]], dtype=complex),
+        Z=np.array([[1, 0], [0, -1]], dtype=complex),
+        ket0=ket(1, 0), ket1=ket(0, 1), plus=ket(1, 1), minus=ket(1, -1),
+        plus_y=ket(1, 1j), minus_y=ket(1, -1j))
 
 
 @dataclass(frozen=True)
@@ -61,6 +81,7 @@ class PureQubit:
     phi: float
 
     def ket(self) -> np.ndarray:
+        np = _qubit().np
         return np.array(
             [math.cos(self.theta / 2),
              complex(math.cos(self.phi), math.sin(self.phi))
@@ -70,7 +91,7 @@ class PureQubit:
 
     def density(self) -> np.ndarray:
         k = self.ket()
-        return np.outer(k, k.conj())
+        return _qubit().np.outer(k, k.conj())
 
 
 @dataclass(frozen=True)
@@ -93,26 +114,13 @@ class ObservableSet:
         return [self.observable(o) for o in CONTEXT_OBSERVABLES[context_id]]
 
 
-def _ket(*amplitudes: complex) -> np.ndarray:
-    v = np.array(amplitudes, dtype=complex)
-    return v / np.linalg.norm(v)
-
-
 def _proj(ket: np.ndarray) -> np.ndarray:
-    return np.outer(ket, ket.conj())
+    return _qubit().np.outer(ket, ket.conj())
 
 
 def max_entangled_ket() -> np.ndarray:
     """``(|00> + |11>)/sqrt(2)`` in the basis |00>,|01>,|10>,|11>."""
-    return _ket(1, 0, 0, 1)
-
-
-_PLUS = _ket(1, 1)                      # +1 eigenvector of X
-_MINUS = _ket(1, -1)                    # -1 eigenvector of X
-_PLUS_Y = _ket(1, 1j)                   # +1 eigenvector of Y
-_MINUS_Y = _ket(1, -1j)                 # -1 eigenvector of Y
-_KET0 = _ket(1, 0)
-_KET1 = _ket(0, 1)
+    return _qubit().ket(1, 0, 0, 1)
 
 
 def _as_float_param(value) -> float:
@@ -134,6 +142,8 @@ def make_state(family: str, w=None) -> np.ndarray:
             f"unknown state family {family!r}; choose from {STATE_FAMILIES}")
     if family != "werner" and w is not None:
         raise ParameterOutOfRange(f"family {family!r} takes no parameter")
+    q = _qubit()
+    kron = q.np.kron
     me = _proj(max_entangled_ket())
     if family == "max_entangled":
         rho = me
@@ -143,15 +153,15 @@ def make_state(family: str, w=None) -> np.ndarray:
         weight = _as_float_param(w)
         if not 0 <= weight <= 1:
             raise ParameterOutOfRange(f"werner weight {weight} outside [0, 1]")
-        rho = weight * me + (1 - weight) * np.eye(4) / 4
+        rho = weight * me + (1 - weight) * q.np.eye(4) / 4
     elif family == "cc":
-        rho = 0.5 * (_proj(np.kron(_KET0, _KET0)) + _proj(np.kron(_KET1, _KET1)))
+        rho = 0.5 * (_proj(kron(q.ket0, q.ket0)) + _proj(kron(q.ket1, q.ket1)))
     elif family == "rank2":
-        rho = 0.5 * (_proj(np.kron(_KET0, _KET0)) + _proj(np.kron(_PLUS, _PLUS)))
+        rho = 0.5 * (_proj(kron(q.ket0, q.ket0)) + _proj(kron(q.plus, q.plus)))
     elif family == "rank3_rho":
         rho = 0.25 * (
-            _proj(np.kron(_KET0, _KET0)) + _proj(np.kron(_PLUS, _PLUS))
-            + _proj(np.kron(_KET1, _KET1)) + _proj(np.kron(_MINUS, _MINUS)))
+            _proj(kron(q.ket0, q.ket0)) + _proj(kron(q.plus, q.plus))
+            + _proj(kron(q.ket1, q.ket1)) + _proj(kron(q.minus, q.minus)))
     else:  # rank3_sigma
         # The Y-eigenstate term pairs the +1 eigenvector on the first qubit
         # with its complex conjugate (the -1 eigenvector) on the second.
@@ -159,8 +169,8 @@ def make_state(family: str, w=None) -> np.ndarray:
         # with it the D,E distribution of this family's box under the
         # nonlocal observable set.
         rho = (
-            _proj(np.kron(_KET0, _KET0)) + _proj(np.kron(_PLUS, _PLUS))
-            + _proj(np.kron(_PLUS_Y, _MINUS_Y))) / 3
+            _proj(kron(q.ket0, q.ket0)) + _proj(kron(q.plus, q.plus))
+            + _proj(kron(q.plus_y, q.minus_y))) / 3
     check_density(rho)
     return rho
 
@@ -172,28 +182,30 @@ def make_observables(name: str) -> ObservableSet:
     ``product``: D and E are the local factors 1(x)X and X(x)1.
     ``rotated``: every observable is rotated into the Z+-X basis.
     """
+    q = _qubit()
+    kron, I2, X, Z = q.np.kron, q.I2, q.X, q.Z
     if name == "peres":
         obs = ObservableSet(
             name,
-            A0=np.kron(Z, I2), A1=np.kron(X, I2),
-            B0=np.kron(I2, Z), B1=np.kron(I2, X),
-            D=np.kron(Z, X), E=np.kron(X, Z),
+            A0=kron(Z, I2), A1=kron(X, I2),
+            B0=kron(I2, Z), B1=kron(I2, X),
+            D=kron(Z, X), E=kron(X, Z),
         )
     elif name == "product":
         obs = ObservableSet(
             name,
-            A0=np.kron(Z, I2), A1=np.kron(X, I2),
-            B0=np.kron(I2, Z), B1=np.kron(I2, X),
-            D=np.kron(I2, X), E=np.kron(X, I2),
+            A0=kron(Z, I2), A1=kron(X, I2),
+            B0=kron(I2, Z), B1=kron(I2, X),
+            D=kron(I2, X), E=kron(X, I2),
         )
     elif name == "rotated":
         zpx = (Z + X) / math.sqrt(2)
         zmx = (Z - X) / math.sqrt(2)
         obs = ObservableSet(
             name,
-            A0=np.kron(zpx, I2), A1=np.kron(zmx, I2),
-            B0=np.kron(I2, zpx), B1=np.kron(I2, zmx),
-            D=np.kron(zpx, zmx), E=np.kron(zmx, zpx),
+            A0=kron(zpx, I2), A1=kron(zmx, I2),
+            B0=kron(I2, zpx), B1=kron(I2, zmx),
+            D=kron(zpx, zmx), E=kron(zmx, zpx),
         )
     else:
         raise ParameterOutOfRange(
@@ -204,6 +216,7 @@ def make_observables(name: str) -> ObservableSet:
 
 def check_density(rho: np.ndarray) -> None:
     """Assert Hermiticity, unit trace, and positive semidefiniteness."""
+    np = _qubit().np
     if rho.shape != (4, 4):
         raise ValueError(f"density matrix must be 4x4, got {rho.shape}")
     if np.max(np.abs(rho - rho.conj().T)) > HERMITIAN_TOL:
@@ -216,6 +229,7 @@ def check_density(rho: np.ndarray) -> None:
 
 def check_observables(obs: ObservableSet) -> None:
     """Assert each observable is a +-1 Hermitian and contexts commute."""
+    np = _qubit().np
     for name in ("A0", "A1", "B0", "B1", "D", "E"):
         matrix = obs.observable(name)
         if matrix.shape != (4, 4):
@@ -243,6 +257,7 @@ def box_from_state(rho: np.ndarray, obs: ObservableSet) -> tuple[tuple[float, ..
     :class:`NegativeProbability`) and are clamped to [0, 1]; each context sums
     to 1 within ``PROBABILITY_TOL``.
     """
+    np = _qubit().np
     check_density(rho)
     check_observables(obs)
     raw: list[tuple[float, ...]] = []
@@ -350,6 +365,7 @@ def verify_peres_identities(obs: ObservableSet, psi: np.ndarray) -> PeresIdentit
     combined with the operator identities yields the 2 = -2 sign
     contradiction for deterministic noncontextual value assignments.
     """
+    np = _qubit().np
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (4,):
         raise ValueError("psi must be a length-4 state vector")
@@ -400,6 +416,7 @@ def werner_third_from_products() -> np.ndarray:
     The four explicit product terms are a cardinality-4 separable
     decomposition certificate for the state.
     """
+    np = _qubit().np
     rho = np.zeros((4, 4), dtype=complex)
     for qa, qb in werner_third_product_terms():
         rho += np.kron(qa.density(), qb.density())

@@ -3,7 +3,8 @@
 Most tests drive ``boxlab.cli.main`` in-process and capture stdout/stderr;
 two smoke tests run the ``boxlab`` console script that ``pyproject.toml``
 declares in a separate process, through the same ``sys.exit(main())`` body
-that an installed console-script wrapper runs, so they need no install.
+that an installed console-script wrapper runs, so they need no install, and
+one runs the package under ``python -S``, where numpy cannot be imported.
 """
 
 from __future__ import annotations
@@ -511,6 +512,40 @@ def run_console_script(tmp_path, *argv):
         [sys.executable, "-c", code, *argv],
         capture_output=True, text=True, timeout=120, cwd=tmp_path, env=env,
     )
+
+
+def run_without_site(tmp_path, *argv):
+    """Run ``python -S`` (no site-packages, so no numpy) on the package's
+    sources alone."""
+    package_root = str(Path(boxlab.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-S", *argv], capture_output=True, text=True,
+        timeout=120, cwd=tmp_path, env={**os.environ, "PYTHONPATH": package_root},
+    )
+
+
+class TestWithoutNumpy:
+    """numpy serves the quantum layer only: importing the package and the
+    commands that make no quantum box must run without it."""
+
+    def test_exact_commands_run_without_numpy(self, tmp_path):
+        blocked = run_without_site(tmp_path, "-c", "import numpy")
+        assert blocked.returncode != 0, "numpy importable without site"
+        assert "No module named 'numpy'" in blocked.stderr
+        result = run_without_site(tmp_path, "-c", "import boxlab")
+        assert result.returncode == 0, result.stderr
+        result = run_without_site(tmp_path, "-m", "boxlab.cli", "vertices")
+        assert result.returncode == 0, result.stderr
+        assert len(result.stdout.splitlines()) == 64
+        result = run_without_site(
+            tmp_path, "-m", "boxlab.cli", "gen", "--family", "noisy-peres",
+            "--W", "1/4", "-o", "box.json")
+        assert result.returncode == 0, result.stderr
+        result = run_without_site(
+            tmp_path, "-m", "boxlab.cli", "analyze", "box.json", "--skip-dims")
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["box"] == json.loads(
+            (tmp_path / "box.json").read_text())
 
 
 class TestConsoleScript:

@@ -832,8 +832,8 @@ def reference_search(table, budget, target, vs):
     """The level walk without the span filter: every covering subset, in
     ``itertools.combinations`` order, goes to the Fraction solve."""
     n = len(table.ids)
-    cap = min(n, decompose._table_rank(table) + 1)
     columns, rhs = cell_system(table)
+    cap = min(n, oracles.exact_affine_rank(columns) + 1)
     nodes = 0
     for k in range(max(table.context_cell_counts), cap + 1):
         if nodes + comb(n, k) > budget:
@@ -953,6 +953,36 @@ class TestSearchMatchesReferenceWalk:
         span = decompose._SpanFilter(table)
         assert span.weights((0, 1, 2, 3, 4)) == weights
         assert_span_filter_matches_ranks(table, 5)
+
+
+class TestRankSizedSpanFilter:
+    # Cells 0 and 1 hold the same entry in every candidate, so a row basis
+    # chosen from the candidates alone drops one of them; the target
+    # differs there, so only a basis chosen with the target column sees
+    # that (1/2, 0, 1/2) is no mixture of 011, 100 and 111 (candidates 0
+    # and 1 would otherwise pass with weights 1/2, 1/2).
+    def test_target_outside_the_span_refutes_every_subset(self):
+        table = bits_table((0b011, 0b100, 0b111), (0b001, 0b100),
+                           [Fraction(1, 2), Fraction(1, 2)], 3)
+        span = decompose._SpanFilter(table)
+        assert span.rank == 3
+        for k in range(1, 4):
+            for subset in itertools.combinations(range(3), k):
+                assert span.refutes(subset), subset
+        assert_span_filter_matches_ranks(table, 3)
+
+    # The cell system has one row per support cell plus the sum row.
+    @pytest.mark.parametrize("vs, target, rows, rank", [
+        (decompose._NC, noisy_peres_box("1/4"), 21, 10),
+        (decompose._LHV, bell_marginal(noisy_peres_box("1/4")), 17, 9),
+    ], ids=["noisy-quarter", "noisy-quarter-marginal"])
+    def test_vectors_have_rank_length(self, vs, target, rows, rank):
+        table = decompose._cell_table(target, vs)
+        span = decompose._SpanFilter(table)
+        assert len(table.rhs) + 1 == rows
+        assert span.rank == rank
+        assert {len(v) for v in span._reduced[0].values()} == {rank}
+        assert len(span._targets[0]) == rank
 
 
 def bits_table(colbits, mixed, weights, n_rows):

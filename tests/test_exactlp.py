@@ -120,6 +120,29 @@ class TestValidation:
             solve(LinearProgram(n=1, objective=[F(1)], maximize=True,
                                 eq_rows=[[F(1)]], eq_rhs=[]))
 
+    # ints and Fractions are used as given, anything else is wrapped in
+    # Fraction; all four spellings of one program must solve alike.
+    @pytest.mark.parametrize("eq_row, rhs, status", [
+        ((1, -1, 1), 2, OPTIMAL), ((1, 1, 1), 7, INFEASIBLE)])
+    @pytest.mark.parametrize("spell", [int, F, str, float],
+                             ids=["int", "Fraction", "str", "float"])
+    def test_entry_types_give_equal_results(self, spell, eq_row, rhs,
+                                            status):
+        def program(spell):
+            return LinearProgram(
+                n=3, objective=[spell(v) for v in (1, 1, -2)], maximize=True,
+                eq_rows=[[spell(v) for v in eq_row]],
+                eq_rhs=[spell(rhs)],
+                le_rows=[[spell(v) for v in row]
+                         for row in ((1, 2, 0), (3, 1, 1))],
+                le_rhs=[spell(4), spell(6)])
+
+        res = solve(program(spell))
+        assert res == solve(program(F))
+        assert res.status == status
+        if status == OPTIMAL:
+            assert all(type(v) is F for v in (res.value, *res.x))
+
 
 def random_program(rng):
     n = int(rng.integers(1, 5))

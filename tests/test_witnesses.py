@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import fixtures as fx
+from boxlab import decompose, witnesses
 from boxlab.boxes import noise_box, noisy_peres_box, peres_box, uniform_box
 from boxlab.decompose import is_superlocal
 from boxlab.errors import PairNotJoint, ParameterOutOfRange
@@ -219,6 +221,50 @@ class TestClassify:
     def test_bad_budget_rejected_without_search(self):
         with pytest.raises(ParameterOutOfRange, match="budget"):
             classify(noise_box(), -5, skip_dims=True)
+
+
+class TestClassifyCallPaths:
+    """The layers a default ``classify`` passes through, looked up where the
+    benchmark's tracer wraps them, with the LP counts its known-counts check
+    expects."""
+
+    def test_layers_reached(self, monkeypatch):
+        calls = Counter()
+        searching = []
+
+        def count(module, name, around=None):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name, bool(searching)] += 1
+                if around is not None:
+                    around.append(name)
+                try:
+                    return original(*args, **kwargs)
+                finally:
+                    if around is not None:
+                        around.pop()
+
+            monkeypatch.setattr(module, name, counted)
+
+        monkeypatch.setattr(decompose, "_dimension_cache", {})
+        count(decompose, "solve")
+        count(decompose, "nc_membership")
+        count(witnesses, "min_nc_dimension", searching)
+        count(witnesses, "bell_local_membership")
+        # In this order, from empty caches: the uniform box's Bell marginal
+        # is the noise box's, so its local search is a cache hit.
+        boxes = [("noise", noise_box(), 5),
+                 ("noisy-quarter", noisy_peres_box("1/4"), 5),
+                 ("noisy-third", noisy_peres_box("1/3"), 5),
+                 ("uniform", uniform_box(), 4)]
+        for name, box, solves in boxes:
+            calls.clear()
+            classify(box)
+            assert calls["solve", False] + calls["solve", True] == solves, name
+            assert calls["min_nc_dimension", False] == 1, name
+            assert calls["nc_membership", True] == 1, name
+            assert calls["bell_local_membership", False] == 1, name
 
 
 class TestReportSerialization:
