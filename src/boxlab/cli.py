@@ -1,8 +1,9 @@
 """Command-line interface: ``gen``, ``analyze``, ``sweep``, ``vertices``.
 
-Exit codes: 0 success; 2 bad flags or unparsable input; 3 a float box could
-not be rationalized exactly; 4 box validation failed (the message names the
-violated constraint).  All output is deterministic: canonical JSON key order
+Exit codes: 0 success; 2 bad flags, unreadable or unparsable input, or an
+output file that cannot be written; 3 a float box could not be rationalized
+exactly; 4 box validation failed (the message names the violated
+constraint).  All output is deterministic: canonical JSON key order
 and canonical rational strings, so identical invocations are byte-identical.
 
 Rationals on the command line are written ``num/den`` (or a bare integer);
@@ -77,8 +78,11 @@ def _write_text(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise BoxParseError(f"cannot write output file: {exc}") from exc
 
 
 def _canonical_json(data) -> str:
@@ -149,11 +153,12 @@ def _load_box(path: str):
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise BoxParseError(f"cannot read box file: {exc}") from exc
     try:
         data = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an over-long int literal
+    # JSONDecodeError, an over-long int literal, or nesting too deep to parse.
+    except (ValueError, RecursionError) as exc:
         raise BoxParseError(f"invalid JSON: {exc}") from exc
     return box_from_json_dict(data)
 

@@ -402,12 +402,14 @@ def peres_strength(box: Box) -> PeresStrength:
     # The membership system plus a column for the parity box's weight.  Each
     # candidate covers 5 support cells, where the box sums to 5, so adding
     # the cell rows gives p*sum(column) + 5*(1 - p) = 5: parity mass outside
-    # the support (sum(column) < 5) forces p = 0.
-    column = [parity.contexts[i][j] for i, j in table.cells]
+    # the support (sum(column) < 5) forces p = 0.  Scaling the column to
+    # integers by s keeps every row integer; the LP variable is then p/s,
+    # with entry s in the objective and in the sum row.
+    s, column = _integers([parity.contexts[i][j] for i, j in table.cells])
     rows = [[q, *row] for q, row in zip(column, _cover_rows(table))]
     result = solve(LinearProgram(
-        n=m + 1, objective=[_ONE] + [_ZERO] * m, maximize=True,
-        eq_rows=[*rows, [1] * (m + 1)], eq_rhs=[*table.rhs, _ONE]))
+        n=m + 1, objective=[s] + [0] * m, maximize=True,
+        eq_rows=[*rows, [s] + [1] * m], eq_rhs=[*table.rhs, _ONE]))
     if result.status != OPTIMAL:
         raise NotDecomposable(
             "box is not a mixture of the parity box with a noncontextual box")
@@ -546,11 +548,6 @@ class _SpanFilter:
         f = target[pc]
         return not any(x * p != f * y for x, y in zip(target, v))
 
-    def refutes(self, subset: Sequence[int]) -> bool:
-        """True when the candidates ``subset`` names cannot carry the target
-        with unique weights (dependent columns, or target outside the span)."""
-        return not (self.enter(subset[:-1]) and self.spans(subset[-1]))
-
     def _column(self, j: int) -> list[int]:
         """Candidate ``j`` reduced against every pivot of the entered prefix,
         resumed from the deepest kept reduction."""
@@ -565,7 +562,8 @@ class _SpanFilter:
         return v
 
     def weights(self, subset: Sequence[int]) -> list[Fraction]:
-        """The unique weights of a support that :meth:`refutes` passed.
+        """The unique weights of a support that :meth:`enter` and
+        :meth:`spans` passed.
 
         Its columns are independent and span the target, so the integer
         system (kept rows, target scaled) echelons to one pivot per column

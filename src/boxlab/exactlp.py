@@ -1,42 +1,43 @@
 """Exact rational linear programming via a two-phase primal simplex.
 
-The simplex pivots in integers (Edmonds 1967; Bareiss 1968).  Each
-standard-form row is scaled by the lcm of its coefficients' denominators and
-the right-hand side by one common factor ``t``, so the starting tableau is an
-integer matrix ``M`` over the all-artificial basis, with ``d = 1``; the true
-tableau is always ``M / d``.  A pivot on entry ``p`` replaces every entry
-``x`` outside the pivot row by ``(p*x - f*y) // d``, where ``f`` is its row's
-entry in the pivot column and ``y`` the pivot row's entry in its column, and
-then sets ``d = p``.  ``M`` is then ``d`` times ``B^-1`` times the scaled
-matrix, for the current basis ``B``, with ``d = |det B|``, so every division
-is exact (Cramer's rule).  Only a drive-out pivot can be negative; it is
-followed by negating ``M`` and ``d``, so that ``d > 0`` and the signs of
-``M`` are those of the true tableau.  The reduced-cost row is one more
-integer row on the same scale, pivoted with the others, so nothing is
-recomputed per iteration.  The step (:func:`_bareiss_step`) and the lcm
-scaling (:func:`_integers`) also serve the subset search in :mod:`.decompose`.
+The simplex pivots in integers (Edmonds 1967; Bareiss 1968).  The whole
+standard-form matrix is scaled by one factor ``s``, the lcm of every
+coefficient's denominator, and the right-hand side by one more factor ``t``,
+so the starting tableau is an integer matrix ``M`` over the all-artificial
+basis, with ``d = 1``; the true tableau is always ``M / d``.  A pivot on
+entry ``p`` replaces every entry ``x`` outside the pivot row by
+``(p*x - f*y) // d``, where ``f`` is its row's entry in the pivot column and
+``y`` the pivot row's entry in its column, and then sets ``d = p``.  ``M`` is
+then ``d`` times ``B^-1`` times the scaled matrix, for the current basis
+``B``, with ``d = |det B|``, so every division is exact (Cramer's rule).
+Only a drive-out pivot can be negative; it is followed by negating ``M`` and
+``d``, so that ``d > 0`` and the signs of ``M`` are those of the true
+tableau.  The reduced-cost row is one more integer row on the same scale,
+pivoted with the others, so nothing is recomputed per iteration.  The step
+(:func:`_bareiss_step`) and the lcm scaling (:func:`_integers`) also serve
+the subset search in :mod:`.decompose`.  Every program this package builds
+has integer rows, so there ``s = 1``.
 
 The pivots are those of the rational simplex on the unscaled program.
-Scaling a row leaves ``B^-1 A`` unchanged.  Each artificial column stays a
-unit vector, which rescales its variable by its row's factor ``s_r``, and
-gets the phase-1 cost ``1/s_r``, which keeps the phase-1 objective.
-Rescaling a column (an artificial or the right-hand side) only multiplies its
-reduced cost, its ratios and its variable's row by positive factors.  Bland's
-rule reads only signs, the ratio test compares ratios by cross-multiplying
-integers, and ties still go to the lowest basic variable, so every program
-takes the same pivots and gets the same answer.  :class:`~fractions.Fraction`
-remains only at the boundary: the input rows, the final
-``x[j] = M[r][-1] / (d*t)``, and the checks below.  No tolerances anywhere;
-Bland's rule guarantees termination, and the fixed variable order makes
-identical programs yield identical results.
+Multiplying every row by one positive ``s``, and the right-hand side by
+``t``, multiplies each phase's reduced costs and every ratio by positive
+constants (every artificial keeps the phase-1 cost 1).  Bland's rule reads
+only signs, the ratio test compares ratios by cross-multiplying integers,
+and ties still go to the lowest basic variable, so every program takes the
+same pivots and gets the same answer.  :class:`~fractions.Fraction` remains
+only at the boundary: the input rows, the final ``x[j] = M[r][-1] / (d*t)``,
+and the checks below.  No tolerances anywhere; Bland's rule guarantees
+termination, and the fixed variable order makes identical programs yield
+identical results.
 
 Every returned answer is re-verified against the original program before it
 is handed back: optimal solutions are re-checked constraint by constraint,
-and infeasibility by a Farkas certificate ``y`` read from the final phase-1
-reduced costs and checked against the standard-form rows (``y . a_j <= 0``
-for every column, ``y . b > 0``).  Every variable is nonnegative.  No
-program this package builds has an unbounded objective, so one is reported
-as :class:`~boxlab.errors.MalformedProgram` rather than as a status.
+and infeasibility by a Farkas certificate ``y_r = d - cost[width + r]``,
+read from the final phase-1 reduced costs of the artificials and checked
+against the standard-form rows (``y . a_j <= 0`` for every column,
+``y . b > 0``).  Every variable is nonnegative.  No program this package
+builds has an unbounded objective, so one is reported as
+:class:`~boxlab.errors.MalformedProgram` rather than as a status.
 """
 
 from __future__ import annotations
@@ -224,33 +225,27 @@ def solve(lp: LinearProgram) -> LPResult:
             rows[r] = [-v for v in rows[r]]
             rhs[r] = -rhs[r]
 
-    # --- integer tableau: scaled rows, unit artificial columns ------------
+    # --- integer tableau: one matrix scale, unit artificial columns -------
     m = len(rows)
-    scales = []
-    tableau_rows = []
-    for r in range(m):
-        s, scaled = _integers(rows[r])
-        scales.append(s)
-        tableau_rows.append(scaled + [int(k == r) for k in range(m)])
+    s, entries = _integers([v for row in rows for v in row])
+    tableau_rows = [entries[r * width:(r + 1) * width]
+                    + [int(k == r) for k in range(m)] for r in range(m)]
     # One common factor t makes the right-hand side integer; scaling a
     # column changes no pivot, and keeps d free of the rhs denominators.
-    t, b = _integers([s * v for s, v in zip(scales, rhs)])
+    t, b = _integers([s * v for v in rhs])
     for row, v in zip(tableau_rows, b):
         row.append(v)
     tableau = _Tableau(tableau_rows, [width + r for r in range(m)])
-    common = lcm(*scales)
-    # Phase-1 cost 1/s_r for artificial r, times common.
-    tableau.price([0] * width + [common // s for s in scales] + [0])
+    tableau.price([0] * width + [1] * m + [0])
 
     # --- phase 1 ----------------------------------------------------------
     # Bounded below by 0, so this never raises.
     tableau.run_simplex()
     if tableau.cost[-1] != 0:
-        # The artificial of row r costs 1/s_r and has reduced cost
-        # cost[width + r] / (d*common), so the phase-1 dual of unscaled row r
-        # is 1 - s_r*cost[width + r] / (d*common); y is that times d*common.
-        y = [tableau.d * common - s * tableau.cost[width + r]
-             for r, s in enumerate(scales)]
+        # Artificial r costs 1 and has reduced cost cost[width + r] / d, so
+        # d times the phase-1 dual of scaled row r is d - cost[width + r];
+        # s > 0, so it certifies the unscaled rows too.
+        y = [tableau.d - tableau.cost[width + r] for r in range(m)]
         _verify_infeasibility(rows, rhs, y)
         return LPResult(INFEASIBLE)
 

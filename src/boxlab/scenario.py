@@ -44,8 +44,6 @@ from .errors import (
     ParameterOutOfRange,
 )
 
-Rational = Fraction
-
 CONTEXT_IDS: tuple[str, ...] = ("C0", "C1", "C2", "C3", "C4")
 
 CONTEXT_OBSERVABLES: dict[str, tuple[str, ...]] = {

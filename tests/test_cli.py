@@ -327,6 +327,20 @@ class TestAnalyze:
         assert code == 2
         assert "cannot read box file" in err
 
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"contexts": {"C0": ["\xbd"]}}')
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert_one_error_line(code, out, err)
+        assert "cannot read box file" in err
+
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 200_000)
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert_one_error_line(code, out, err)
+        assert "invalid JSON" in err
+
     def test_disturbing_box_exits_4(self, tmp_path, capsys):
         data = box_to_json_dict(fx.build_box(fx.NOISY_THIRD_TABLE))
         # Skew the D marginal of the A0,B1,D context against the D,E context
@@ -484,6 +498,23 @@ class TestVertices:
         assert code == 0
         assert out == ""
         assert len(path.read_text().splitlines()) == 64
+
+
+@pytest.mark.parametrize("command", [
+    ["vertices"],
+    ["analyze", "--skip-dims", "BOX"],
+    ["gen", "--family", "noise"],
+    ["sweep", "--family", "noisy-peres", "--from", "0", "--to", "1",
+     "--steps", "2"],
+], ids=lambda command: command[0])
+def test_unwritable_output_exits_2(tmp_path, capsys, command):
+    box = gen_box_file(tmp_path, capsys, "--family", "noise")
+    argv = [str(box) if arg == "BOX" else arg for arg in command]
+    target = tmp_path / "missing-dir" / "out"
+    code, out, err = run_cli(capsys, *argv, "-o", str(target))
+    assert_one_error_line(code, out, err)
+    assert "cannot write output file" in err
+    assert not target.parent.exists()
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

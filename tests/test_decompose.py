@@ -243,6 +243,17 @@ class TestDecompositionJson:
         with pytest.raises(ValueError, match="duplicate"):
             decomposition_from_json(data, noise_box())
 
+    @pytest.mark.parametrize("data, message", [
+        ({"vertex": "(0000)(00)", "weight": "1"}, "must be a list"),
+        ("(0000)(00)", "must be a list"),
+        ([{"vertex": "(0000)(00)"}], "'vertex' and 'weight' keys"),
+        ([{"weight": "1"}], "'vertex' and 'weight' keys"),
+        ([5], "'vertex' and 'weight' keys"),
+    ], ids=["object", "string", "no-weight", "no-vertex", "non-object-term"])
+    def test_from_json_rejects_malformed_input(self, data, message):
+        with pytest.raises(BoxParseError, match=message):
+            decomposition_from_json(data, noise_box())
+
     @pytest.mark.parametrize("label", [5, None])
     @pytest.mark.parametrize("target", [
         noise_box(), bell_marginal(noise_box())], ids=["box", "marginal"])
@@ -968,7 +979,8 @@ class TestRankSizedSpanFilter:
         assert span.rank == 3
         for k in range(1, 4):
             for subset in itertools.combinations(range(3), k):
-                assert span.refutes(subset), subset
+                assert not (span.enter(subset[:-1])
+                            and span.spans(subset[-1])), subset
         assert_span_filter_matches_ranks(table, 3)
 
     # The cell system has one row per support cell plus the sum row.
@@ -1006,6 +1018,7 @@ def assert_span_filter_matches_ranks(table, max_size):
     for k in range(1, max_size + 1):
         for subset in itertools.combinations(range(len(table.ids)), k):
             q = fraction_solve([columns[j] for j in subset], rhs)
-            assert span.refutes(subset) == (q is None), subset
+            passes = span.enter(subset[:-1]) and span.spans(subset[-1])
+            assert passes == (q is not None), subset
             if q is not None:
                 assert span.weights(subset) == q, subset

@@ -120,6 +120,15 @@ class TestValidation:
             solve(LinearProgram(n=1, objective=[F(1)], maximize=True,
                                 eq_rows=[[F(1)]], eq_rhs=[]))
 
+    def test_le_rhs_length_mismatch(self):
+        with pytest.raises(MalformedProgram, match="le_rows and le_rhs"):
+            solve(LinearProgram(n=1, objective=[F(1)], maximize=True,
+                                le_rows=[[F(1)]], le_rhs=[F(1), F(2)]))
+
+    def test_negative_variable_count(self):
+        with pytest.raises(MalformedProgram, match="nonnegative"):
+            solve(LinearProgram(n=-1, objective=[]))
+
     # ints and Fractions are used as given, anything else is wrapped in
     # Fraction; all four spellings of one program must solve alike.
     @pytest.mark.parametrize("eq_row, rhs, status", [

@@ -189,6 +189,24 @@ class TestRationalization:
         with pytest.raises(ParameterOutOfRange, match="tolerance"):
             rationalize_box(raw, max_denominator=4, tolerance=tolerance)
 
+    def test_unusable_max_denominator_rejected(self):
+        raw = box_from_state(make_state("werner", "1/10"),
+                             make_observables("peres"))
+        with pytest.raises(ParameterOutOfRange, match="max_denominator"):
+            rationalize_box(raw, max_denominator=0)
+
+    def test_wrong_context_sizes_rejected(self):
+        raw = [[0.25] * 4] * 5
+        with pytest.raises(NoExactRationalization, match="context sizes"):
+            rationalize_box(raw)
+
+    def test_snapped_box_must_validate(self):
+        # Every entry snaps to 1/4, but an 8-entry context then sums to 2.
+        raw = [[0.25] * size for size in (4, 8, 8, 4, 4)]
+        with pytest.raises(NoExactRationalization,
+                           match="fails exact validation"):
+            rationalize_box(raw)
+
 
 class TestSeparableConstruction:
     def test_four_product_terms(self):

@@ -52,7 +52,8 @@ class TestRationalParsing:
         assert as_rational(" 1/2") == Fraction(1, 2)
         assert as_rational("1/2 ") == Fraction(1, 2)
 
-    @pytest.mark.parametrize("bad", ["0.5", "1e-3", "1/2/3", "a/b", "", "1 /2"])
+    @pytest.mark.parametrize("bad", ["0.5", "1e-3", "1/2/3", "a/b", "", "1 /2",
+                                     0.25])
     def test_rejects_inexact_strings(self, bad):
         with pytest.raises(BoxParseError):
             as_rational(bad)
@@ -297,6 +298,16 @@ class TestJsonRoundTrip:
         data = box_to_json_dict(fx.build_box(fx.PERES_TABLE))
         del data["contexts"]["C2"]
         with pytest.raises(BoxParseError):
+            box_from_json_dict(data)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda data: data.pop("contexts"), "'contexts' key"),
+        (lambda data: data.update(label=5), "'label' must be a string"),
+    ], ids=["no-contexts", "non-string-label"])
+    def test_malformed_object_rejected(self, edit, message):
+        data = box_to_json_dict(fx.build_box(fx.PERES_TABLE))
+        edit(data)
+        with pytest.raises(BoxParseError, match=message):
             box_from_json_dict(data)
 
 

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -265,6 +268,19 @@ class TestClassifyCallPaths:
             assert calls["min_nc_dimension", False] == 1, name
             assert calls["nc_membership", True] == 1, name
             assert calls["bell_local_membership", False] == 1, name
+
+    def test_benchmark_tracer_bindings_resolve(self):
+        # The tracer wraps each binding by name where its caller looks it
+        # up; a renamed or moved function would fail its installation.
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        assert tracing.BINDINGS
+        missing = [f"{module}.{attr}"
+                   for module, attr, _ in tracing.BINDINGS
+                   if not hasattr(importlib.import_module(module), attr)]
+        assert missing == []
 
 
 class TestReportSerialization:
