@@ -16,8 +16,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
+import os
+import stat
 import sys
 from fractions import Fraction
 
@@ -83,6 +86,30 @@ def _write_text(text: str, path: str | None) -> None:
                 handle.write(text)
         except OSError as exc:
             raise BoxParseError(f"cannot write output file: {exc}") from exc
+
+
+def _check_output(path: str | None) -> None:
+    """Raise the error :func:`_write_text` would raise for ``path`` when it
+    cannot be opened for writing, without creating or truncating it, so a
+    command fails before its work does.  A new path ending in a separator
+    is left to :func:`_write_text`."""
+    if path is None or path == "-":
+        return
+    try:
+        if os.path.exists(path):
+            os.close(os.open(path, os.O_WRONLY))
+        elif not path.endswith(os.sep):
+            parent = os.path.dirname(path) or "."
+            try:
+                mode = os.stat(parent).st_mode
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path) from None
+            if not stat.S_ISDIR(mode):
+                raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
+            if not os.access(parent, os.W_OK | os.X_OK):
+                raise OSError(errno.EACCES, os.strerror(errno.EACCES), path)
+    except OSError as exc:
+        raise BoxParseError(f"cannot write output file: {exc}") from exc
 
 
 def _canonical_json(data) -> str:
@@ -165,6 +192,7 @@ def _load_box(path: str):
 
 def cmd_analyze(args) -> int:
     box = _load_box(args.box)
+    _check_output(args.output)
     report = classify(box, budget=args.budget, skip_dims=args.skip_dims)
     if args.format == "json":
         payload = {
@@ -231,7 +259,9 @@ def cmd_sweep(args) -> int:
     if args.state is not None and args.state != "werner":
         raise BoxParseError("only the werner state has a parameter")
     grid = _sweep_grid(args.sweep_from, args.sweep_to, args.steps)
-    rows = [_sweep_row(w, _source_box(args, w), budget) for w in grid]
+    boxes = [_source_box(args, w) for w in grid]
+    _check_output(args.output)
+    rows = [_sweep_row(w, box, budget) for w, box in zip(grid, boxes)]
     if args.format == "csv":
         text = _csv_text(SWEEP_COLUMNS,
                          ([row[c] for c in SWEEP_COLUMNS] for row in rows))

@@ -145,6 +145,14 @@ _LHV = _VertexSet(LHV_VERTEX_SET, enumerate_local_vertices,
 _VERTEX_SETS = {vs.name: vs for vs in (_NC, _LHV)}
 
 
+@lru_cache(maxsize=None)
+def _vertex_cells(vs: _VertexSet) -> dict:
+    """``vid -> cells`` in enumeration order: ``cells[i]`` is the entry of
+    distribution ``i`` that holds the vertex's mass."""
+    return {vid: tuple(dist.index(_ONE) for dist in vs.dists(vertex))
+            for vid, vertex in vs.vertices()}
+
+
 # ---------------------------------------------------------------------------
 # Decompositions
 # ---------------------------------------------------------------------------
@@ -176,11 +184,11 @@ class Decomposition:
 
 def _mix(terms, vs: _VertexSet):
     """The weighted sum of the vertices ``terms`` names (zero when empty)."""
-    by_id = dict(vs.vertices())
+    cells = _vertex_cells(vs)
     rows = [[_ZERO] * len(dist) for dist in vs.dists(vs.vertices()[0][1])]
     for vid, weight in terms:
-        for row, dist in zip(rows, vs.dists(by_id[vid])):
-            row[dist.index(_ONE)] += weight
+        for row, j in zip(rows, cells[vid]):
+            row[j] += weight
     return vs.target(tuple(tuple(row) for row in rows))
 
 
@@ -275,10 +283,9 @@ def _cell_table(target, vs: _VertexSet) -> _CellTable:
                 count += 1
         counts.append(count)
     ids, colbits = [], []
-    for vid, vertex in vs.vertices():
+    for vid, cells in _vertex_cells(vs).items():
         bits = 0
-        for i, dist in enumerate(vs.dists(vertex)):
-            j = dist.index(_ONE)
+        for i, j in enumerate(cells):
             r = cell_index.get((i, j))
             if r is None:
                 break

@@ -1,16 +1,30 @@
-"""Exact rational linear programming via a two-phase primal simplex.
+"""Exact rational linear programming via a primal simplex from a slack start.
 
-The simplex pivots in integers (Edmonds 1967; Bareiss 1968).  The whole
-standard-form matrix is scaled by one factor ``s``, the lcm of every
-coefficient's denominator, and the right-hand side by one more factor ``t``,
-so the starting tableau is an integer matrix ``M`` over the all-artificial
-basis, with ``d = 1``; the true tableau is always ``M / d``.  A pivot on
-entry ``p`` replaces every entry ``x`` outside the pivot row by
-``(p*x - f*y) // d``, where ``f`` is its row's entry in the pivot column and
-``y`` the pivot row's entry in its column, and then sets ``d = p``.  ``M`` is
-then ``d`` times ``B^-1`` times the scaled matrix, for the current basis
-``B``, with ``d = |det B|``, so every division is exact (Cramer's rule).
-Only a drive-out pivot can be negative; it is followed by negating ``M`` and
+Every ``<=`` row whose slack keeps coefficient +1 after the right-hand side
+is made nonnegative starts with that slack basic; only the other rows get
+artificial variables, and phase 1 (minimize their sum) runs only when there
+are any.  Phase 2 optimizes the requested objective.  The entering column
+has the most negative reduced cost, the lowest index on ties (Dantzig),
+except on the pivot right after a degenerate one (ratio 0), which takes the
+lowest-index column with a negative reduced cost (Bland 1977).  The ratio
+test breaks ties by the lowest basic variable.  This terminates: a
+nondegenerate pivot strictly improves the objective, so a cycle could only
+be a run of degenerate pivots, and every pivot in it after the first would
+follow a degenerate pivot and go by Bland's rule, under which no cycle
+exists.
+
+The simplex pivots in integers (Edmonds 1967; Bareiss 1968).  The
+structural columns are scaled by one factor ``s``, the lcm of their
+coefficients' denominators, and the right-hand side by one more factor
+``t``; the slack and artificial columns stay unit columns.  So the starting
+tableau is an integer matrix ``M`` over an identity basis, with ``d = 1``;
+the true tableau is always ``M / d``.  A pivot on entry ``p`` replaces
+every entry ``x`` outside the pivot row by ``(p*x - f*y) // d``, where
+``f`` is its row's entry in the pivot column and ``y`` the pivot row's
+entry in its column, and then sets ``d = p``.  ``M`` is then ``d`` times
+``B^-1`` times the scaled matrix, for the current basis ``B``, with
+``d = |det B|``, so every division is exact (Cramer's rule).  Only a
+drive-out pivot can be negative; it is followed by negating ``M`` and
 ``d``, so that ``d > 0`` and the signs of ``M`` are those of the true
 tableau.  The reduced-cost row is one more integer row on the same scale,
 pivoted with the others, so nothing is recomputed per iteration.  The step
@@ -19,24 +33,27 @@ the subset search in :mod:`.decompose`.  Every program this package builds
 has integer rows, so there ``s = 1``.
 
 The pivots are those of the rational simplex on the unscaled program.
-Multiplying every row by one positive ``s``, and the right-hand side by
-``t``, multiplies each phase's reduced costs and every ratio by positive
-constants (every artificial keeps the phase-1 cost 1).  Bland's rule reads
-only signs, the ratio test compares ratios by cross-multiplying integers,
-and ties still go to the lowest basic variable, so every program takes the
-same pivots and gets the same answer.  :class:`~fractions.Fraction` remains
-only at the boundary: the input rows, the final ``x[j] = M[r][-1] / (d*t)``,
-and the checks below.  No tolerances anywhere; Bland's rule guarantees
-termination, and the fixed variable order makes identical programs yield
+Scaling the structural columns by ``s`` against unit slack and artificial
+columns multiplies every reduced cost by a positive constant, and those of
+the slack and artificial columns by ``1/s`` more, so pricing multiplies the
+latter by ``s`` before it compares them (Bland's rule reads only signs).
+The ratio test compares ratios within one column by cross-multiplying
+integers, and ties still go to the lowest basic variable, so every program
+takes the same pivots and gets the same answer.  A start at ``d = s`` on an
+all-scaled matrix would price alike but lose the exact division.
+:class:`~fractions.Fraction` remains only at the boundary: the input rows,
+the final ``x[j] = M[r][-1] / (d*t)``, and the checks below.  No tolerances
+anywhere, and the fixed variable order makes identical programs yield
 identical results.
 
 Every returned answer is re-verified against the original program before it
 is handed back: optimal solutions are re-checked constraint by constraint,
-and infeasibility by a Farkas certificate ``y_r = d - cost[width + r]``,
-read from the final phase-1 reduced costs of the artificials and checked
-against the standard-form rows (``y . a_j <= 0`` for every column,
-``y . b > 0``).  Every variable is nonnegative.  No program this package
-builds has an unbounded objective, so one is reported as
+and infeasibility by a Farkas certificate read from the final phase-1
+reduced costs: ``y_r = d - cost[art_r]`` for a row that started on an
+artificial, ``y_r = -cost[slack_r]`` for one that started on its slack.  It
+is checked against the standard-form rows (``y . a_j <= 0`` for every
+column, ``y . b > 0``).  Every variable is nonnegative.  No program this
+package builds has an unbounded objective, so one is reported as
 :class:`~boxlab.errors.MalformedProgram` rather than as a status.
 """
 
@@ -110,18 +127,24 @@ def _validated(lp: LinearProgram) -> tuple[list, list[list], list,
 
 
 class _Tableau:
-    """Integer simplex tableau with Bland's rule: the true tableau is
-    ``rows / d`` and the true reduced costs are ``cost / d``.
+    """Integer simplex tableau: the true tableau is ``rows / d`` and the true
+    reduced costs are ``cost / d``.
 
     The last entry of every row is its right-hand side, kept >= 0; the last
-    entry of ``cost`` is ``-d`` times the objective value.
+    entry of ``cost`` is ``-d`` times the objective value.  Columns from
+    ``n`` on (slacks and artificials) are on a scale ``1/weight`` of the
+    structural ones, so pricing multiplies their reduced costs by
+    ``weight``.
     """
 
-    def __init__(self, rows: list[list[int]], basis: list[int]) -> None:
+    def __init__(self, rows: list[list[int]], basis: list[int], n: int,
+                 weight: int) -> None:
         self.rows = rows
         self.basis = basis        # basic column index per row
         self.cost: list[int] = []
         self.d = 1
+        self.n = n
+        self.weight = weight
 
     def price(self, c: list[int]) -> None:
         """Set the reduced-cost row for integer costs ``c`` (one per column,
@@ -150,15 +173,24 @@ class _Tableau:
     def run_simplex(self) -> None:
         """Minimize from the current basis until no reduced cost is negative.
 
-        Raises :class:`MalformedProgram` when the objective is unbounded
-        below.
+        The entering column has the most negative reduced cost, the lowest
+        index on ties (Dantzig), except right after a degenerate pivot,
+        where it is the lowest-index column with a negative reduced cost
+        (Bland).  Raises :class:`MalformedProgram` when the objective is
+        unbounded below.
         """
         ncols = len(self.cost) - 1
+        degenerate = False
         while True:
-            cost = self.cost
-            # Bland: first (lowest-index) improving column.  Basic columns
-            # have reduced cost 0.
-            entering = next((j for j in range(ncols) if cost[j] < 0), -1)
+            # Basic columns have reduced cost 0.
+            cost = self.cost[:ncols]
+            if degenerate:
+                entering = next((j for j in range(ncols) if cost[j] < 0), -1)
+            else:
+                if self.weight != 1:
+                    cost[self.n:] = [v * self.weight for v in cost[self.n:]]
+                least = min(cost, default=0)
+                entering = cost.index(least) if least < 0 else -1
             if entering < 0:
                 return
             leaving = -1
@@ -176,6 +208,7 @@ class _Tableau:
             if leaving < 0:
                 raise MalformedProgram(
                     f"objective is unbounded along column {entering}")
+            degenerate = best_rhs == 0
             self.pivot(leaving, entering)
 
 
@@ -202,16 +235,18 @@ def _integers(values: Sequence[Fraction]) -> tuple[int, list[int]]:
 def solve(lp: LinearProgram) -> LPResult:
     """Solve ``lp`` exactly.
 
-    Two-phase primal simplex: phase 1 minimizes the sum of artificial
-    variables from an all-artificial basis; a positive phase-1 optimum means
-    infeasibility, proved by a checked Farkas certificate.  Phase 2
-    optimizes the requested objective.  The returned vertex solution is
-    re-verified against the original constraints.
+    Primal simplex from a slack start: every ``<=`` row with a nonnegative
+    right-hand side starts on its own slack, and only the other rows get
+    artificial variables.  When there are any, phase 1 minimizes their sum;
+    a positive phase-1 optimum means infeasibility, proved by a checked
+    Farkas certificate.  Phase 2 optimizes the requested objective.  The
+    returned vertex solution is re-verified against the original
+    constraints.
     """
     objective, eq_rows, eq_rhs, le_rows, le_rhs = _validated(lp)
 
     # --- standard form: minimize, equality rows, slack per inequality -----
-    nslack = len(le_rows)
+    n, m_eq, nslack = lp.n, len(eq_rows), len(le_rows)
     rows = [row + [_ZERO] * nslack for row in eq_rows]
     rhs = list(eq_rhs)
     for k, row in enumerate(le_rows):
@@ -219,61 +254,77 @@ def solve(lp: LinearProgram) -> LPResult:
         slack[k] = _ONE
         rows.append(row + slack)
         rhs.append(le_rhs[k])
-    width = lp.n + nslack
-    for r in range(len(rows)):
+    width = n + nslack
+    m = len(rows)
+    # Row r starts on its slack, column n + r - m_eq, when that slack keeps
+    # its +1 after the sign flip below, else on an artificial column.
+    artificial = [r for r in range(m) if r < m_eq or rhs[r] < 0]
+    basis = [n + r - m_eq for r in range(m)]
+    for k, r in enumerate(artificial):
+        basis[r] = width + k
+    for r in range(m):
         if rhs[r] < 0:
             rows[r] = [-v for v in rows[r]]
             rhs[r] = -rhs[r]
 
-    # --- integer tableau: one matrix scale, unit artificial columns -------
-    m = len(rows)
-    s, entries = _integers([v for row in rows for v in row])
-    tableau_rows = [entries[r * width:(r + 1) * width]
-                    + [int(k == r) for k in range(m)] for r in range(m)]
+    # --- integer tableau: one scale s on the structural columns -----------
+    # The slack and artificial columns stay unit columns, so the start is
+    # an identity basis with d = 1; their reduced costs are then 1/s of
+    # the rational simplex's, relative to the structural ones, and pricing
+    # weighs them by s.
+    s, entries = _integers([v for row in rows for v in row[:n]])
+    tableau_rows = [entries[r * n:(r + 1) * n]
+                    + [int(v) for v in rows[r][n:]]
+                    + [int(a == r) for a in artificial] for r in range(m)]
     # One common factor t makes the right-hand side integer; scaling a
     # column changes no pivot, and keeps d free of the rhs denominators.
     t, b = _integers([s * v for v in rhs])
     for row, v in zip(tableau_rows, b):
         row.append(v)
-    tableau = _Tableau(tableau_rows, [width + r for r in range(m)])
-    tableau.price([0] * width + [1] * m + [0])
+    start = list(basis)
+    tableau = _Tableau(tableau_rows, basis, n, s)
 
     # --- phase 1 ----------------------------------------------------------
-    # Bounded below by 0, so this never raises.
-    tableau.run_simplex()
-    if tableau.cost[-1] != 0:
-        # Artificial r costs 1 and has reduced cost cost[width + r] / d, so
-        # d times the phase-1 dual of scaled row r is d - cost[width + r];
-        # s > 0, so it certifies the unscaled rows too.
-        y = [tableau.d - tableau.cost[width + r] for r in range(m)]
-        _verify_infeasibility(rows, rhs, y)
-        return LPResult(INFEASIBLE)
+    if artificial:
+        c = [0] * width + [1] * len(artificial) + [0]
+        tableau.price(c)
+        # Bounded below by 0, so this never raises.
+        tableau.run_simplex()
+        if tableau.cost[-1] != 0:
+            # Row r starts on the unit column j = start[r], of cost c[j] and
+            # reduced cost cost[j] / d, so d times the phase-1 dual of row r
+            # is d*c[j] - cost[j]: d - cost[art_r] or -cost[slack_r].  s > 0,
+            # so it certifies the unscaled rows too.
+            y = [tableau.d * c[j] - tableau.cost[j] for j in start]
+            _verify_infeasibility(rows, rhs, y)
+            return LPResult(INFEASIBLE)
 
-    # Drive remaining zero-level artificials out of the basis.
-    for r in range(m):
-        if tableau.basis[r] >= width:
-            pivot_col = next(
-                (j for j in range(width) if tableau.rows[r][j] != 0), None)
-            if pivot_col is not None:
-                tableau.pivot(r, pivot_col)
-    keep = [r for r in range(m) if tableau.basis[r] < width]
-    # Artificial columns can no longer enter, so phase 2 drops them.
-    tableau.rows = [tableau.rows[r][:width] + tableau.rows[r][-1:]
-                    for r in keep]
-    tableau.basis = [tableau.basis[r] for r in keep]
+        # Drive remaining zero-level artificials out of the basis.
+        for r in range(m):
+            if tableau.basis[r] >= width:
+                pivot_col = next(
+                    (j for j in range(width) if tableau.rows[r][j] != 0),
+                    None)
+                if pivot_col is not None:
+                    tableau.pivot(r, pivot_col)
+        keep = [r for r in range(m) if tableau.basis[r] < width]
+        # Artificial columns can no longer enter, so phase 2 drops them.
+        tableau.rows = [tableau.rows[r][:width] + tableau.rows[r][-1:]
+                        for r in keep]
+        tableau.basis = [tableau.basis[r] for r in keep]
 
     # --- phase 2 ----------------------------------------------------------
     sign = -1 if lp.maximize else 1
     _, c = _integers([sign * v for v in objective])
-    tableau.price(c + [0] * (width + 1 - lp.n))
+    tableau.price(c + [0] * (width + 1 - n))
     tableau.run_simplex()
 
     scale = tableau.d * t
-    x = [_ZERO] * lp.n
+    x = [_ZERO] * n
     for row, col in zip(tableau.rows, tableau.basis):
-        if col < lp.n:
+        if col < n:
             x[col] = Fraction(row[-1], scale)
-    value = sum((objective[i] * x[i] for i in range(lp.n)), _ZERO)
+    value = sum((objective[i] * x[i] for i in range(n)), _ZERO)
     _verify_solution(objective, eq_rows, eq_rhs, le_rows, le_rhs, x, value)
     return LPResult(OPTIMAL, value, tuple(x))
 

@@ -19,7 +19,9 @@ import pytest
 
 import boxlab
 import fixtures as fx
+from boxlab import cli
 from boxlab.cli import SWEEP_COLUMNS, main
+from boxlab.errors import BoxParseError
 from boxlab.scenario import box_from_json_dict, box_to_json_dict
 from boxlab.vertices import enumerate_local_vertices, enumerate_nc_vertices
 from boxlab.witnesses import CSV_COLUMNS
@@ -515,6 +517,77 @@ def test_unwritable_output_exits_2(tmp_path, capsys, command):
     assert_one_error_line(code, out, err)
     assert "cannot write output file" in err
     assert not target.parent.exists()
+
+
+class TestOutputCheckedFirst:
+    """``analyze`` and ``sweep`` reject an unwritable ``-o`` before any LP
+    or search runs, with the line the write itself would print, and a
+    failing run neither creates nor truncates the output file."""
+
+    COMMANDS = {
+        "analyze": ["analyze", "BOX"],
+        "sweep": ["sweep", "--family", "noisy-peres", "--from", "0", "--to",
+                  "1", "--steps", "3"],
+    }
+
+    @staticmethod
+    def forbid_work(monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the analysis ran before the output check")
+
+        monkeypatch.setattr(cli, "classify", fail)
+        monkeypatch.setattr(cli, "_sweep_row", fail)
+
+    def argv(self, tmp_path, capsys, command, target):
+        box = gen_box_file(tmp_path, capsys, "--family", "noise")
+        return [str(box) if arg == "BOX" else arg
+                for arg in self.COMMANDS[command]] + ["-o", str(target)]
+
+    @pytest.mark.parametrize("target", ["missing-dir/out", "file/out", "dir",
+                                        "dir/"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_fails_before_the_work(self, tmp_path, capsys, monkeypatch,
+                                   command, target):
+        (tmp_path / "file").write_text("")
+        (tmp_path / "dir").mkdir()
+        target = tmp_path / target if target != "dir/" else (
+            f"{tmp_path / 'dir'}/")
+        argv = self.argv(tmp_path, capsys, command, target)
+        with pytest.raises(BoxParseError) as late:
+            cli._write_text("", str(target))
+        self.forbid_work(monkeypatch)
+        code, out, err = run_cli(capsys, *argv)
+        assert_one_error_line(code, out, err)
+        assert err == f"error: {late.value}\n"
+        assert (tmp_path / "file").read_text() == ""
+        assert not (tmp_path / "missing-dir").exists()
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_writable_output_is_left_alone_until_written(
+            self, tmp_path, capsys, monkeypatch, command):
+        kept, new = tmp_path / "kept.txt", tmp_path / "new.txt"
+        kept.write_text("keep")
+        self.forbid_work(monkeypatch)
+        for target in (kept, new):
+            argv = self.argv(tmp_path, capsys, command, target)
+            with pytest.raises(AssertionError, match="output check"):
+                main(argv)
+        assert kept.read_text() == "keep"
+        assert not new.exists()
+
+    def test_invalid_box_leaves_the_output_alone(self, tmp_path, capsys):
+        data = box_to_json_dict(fx.build_box(fx.NOISY_THIRD_TABLE))
+        data["contexts"]["C1"] = ["1/2", "0", "0", "1/2", "0", "0", "0", "0"]
+        box = tmp_path / "skewed.json"
+        box.write_text(json.dumps(data))
+        kept, new = tmp_path / "kept.txt", tmp_path / "new.txt"
+        kept.write_text("keep")
+        for target in (kept, new):
+            code, _, _ = run_cli(capsys, "analyze", str(box), "-o",
+                                 str(target))
+            assert code == 4
+        assert kept.read_text() == "keep"
+        assert not new.exists()
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -97,6 +97,19 @@ class TestDegeneracy:
         assert res.value == F(-1, 20)
         check_feasible_exactly(lp, res.x)
 
+    def test_cycling_instance_needs_a_bland_step(self, integer_pivots):
+        # Dantzig's rule alone cycles here; the pivot after a degenerate one
+        # goes by Bland's rule, and at least one such step leaves the column
+        # Dantzig's rule would take.  The integer tableau takes the same
+        # pivots as the rational one.
+        tableaus = []
+        expected, expected_pivots = fraction_solve(CYCLING, tableaus)
+        assert expected.value == F(-1, 20)
+        assert any(bland != dantzig for bland, dantzig in tableaus[0].bland)
+        pivots, _ = integer_pivots
+        assert solve(CYCLING) == expected
+        assert pivots == expected_pivots
+
     def test_highly_degenerate_equalities(self):
         lp = REDUNDANT
         res = solve(lp)
@@ -175,6 +188,27 @@ def random_program(rng):
                          le_rows=le_rows, le_rhs=le_rhs)
 
 
+def fractional_program(rng):
+    """``random_program`` with every entry divided by a random 1..6, so the
+    integer tableau's scale exceeds 1, and some of its first rows turned
+    into ``>=`` rows, so that rows start on slacks and on artificials."""
+    lp = random_program(rng)
+
+    def divided(row):
+        return [v / int(rng.integers(1, 7)) for v in row]
+
+    le_rows, le_rhs = [divided(row) for row in lp.le_rows], divided(lp.le_rhs)
+    for r in range(len(le_rows) - lp.n):
+        if rng.integers(0, 2):
+            le_rows[r] = [-v for v in le_rows[r]]
+            le_rhs[r] = -le_rhs[r]
+    return LinearProgram(n=lp.n, objective=divided(lp.objective),
+                         maximize=True,
+                         eq_rows=[divided(row) for row in lp.eq_rows],
+                         eq_rhs=divided(lp.eq_rhs),
+                         le_rows=le_rows, le_rhs=le_rhs)
+
+
 class TestAgainstFloatSolver:
     """Randomized duels against an independent floating-point LP solver."""
 
@@ -211,8 +245,10 @@ class TestAgainstFloatSolver:
 # ---------------------------------------------------------------------------
 
 class FractionTableau:
-    """Dense simplex tableau with Bland's rule, kept exact with Fractions.
-    Records every pivot as ``(row, col)``."""
+    """Dense simplex tableau kept exact with Fractions: Dantzig's entering
+    rule, Bland's right after a degenerate pivot.  Records every pivot as
+    ``(row, col)``, and each Bland step as ``(entering, dantzig)``, its
+    column and the one Dantzig's rule would have taken."""
 
     def __init__(self, rows, rhs, basis, ncols):
         self.rows = rows
@@ -220,6 +256,7 @@ class FractionTableau:
         self.basis = basis
         self.ncols = ncols
         self.pivots = []
+        self.bland = []
 
     def pivot(self, row, col):
         self.pivots.append((row, col))
@@ -238,19 +275,23 @@ class FractionTableau:
 
     def run_simplex(self, cost, allowed):
         m = len(self.rows)
+        degenerate = False
         while True:
             basic_cost = [cost[self.basis[r]] for r in range(m)]
-            entering = -1
+            improving = []
             for j in range(self.ncols):
                 if not allowed[j] or j in self.basis:
                     continue
                 reduced = cost[j] - sum(basic_cost[r] * self.rows[r][j]
                                         for r in range(m))
                 if reduced < 0:
-                    entering = j
-                    break
-            if entering < 0:
+                    improving.append((reduced, j))
+            if not improving:
                 return
+            _, entering = min(improving)
+            if degenerate:
+                self.bland.append((improving[0][1], entering))
+                entering = improving[0][1]
             leaving, best = -1, None
             for r in range(m):
                 coeff = self.rows[r][entering]
@@ -262,12 +303,15 @@ class FractionTableau:
                         best, leaving = ratio, r
             if leaving < 0:
                 raise MalformedProgram("unbounded")
+            degenerate = best == 0
             self.pivot(leaving, entering)
 
 
-def fraction_solve(lp):
-    """The two-phase rational simplex: ``(LPResult, pivots)``."""
+def fraction_solve(lp, tableaus=None):
+    """The rational simplex from a slack start: ``(LPResult, pivots)``.
+    Appends its tableau to ``tableaus`` when one is given."""
     n, nslack = lp.n, len(lp.le_rows)
+    m_eq = len(lp.eq_rows)
     rows = [[F(v) for v in row] + [F(0)] * nslack for row in lp.eq_rows]
     rhs = [F(v) for v in lp.eq_rhs]
     for k, row in enumerate(lp.le_rows):
@@ -275,13 +319,22 @@ def fraction_solve(lp):
                     [F(int(i == k)) for i in range(nslack)])
         rhs.append(F(lp.le_rhs[k]))
     width, m = n + nslack, len(rows)
+    # A <= row with rhs >= 0 starts on its slack; the others on artificials.
+    artificial = [r for r in range(m) if r < m_eq or rhs[r] < 0]
+    basis = [n + r - m_eq for r in range(m)]
     for r in range(m):
         if rhs[r] < 0:
             rows[r], rhs[r] = [-v for v in rows[r]], -rhs[r]
-        rows[r] += [F(int(i == r)) for i in range(m)]
-    total = width + m
-    tableau = FractionTableau(rows, rhs, [width + r for r in range(m)], total)
-    tableau.run_simplex([F(0)] * width + [F(1)] * m, [True] * total)
+        rows[r] += [F(int(a == r)) for a in artificial]
+    for k, r in enumerate(artificial):
+        basis[r] = width + k
+    total = width + len(artificial)
+    tableau = FractionTableau(rows, rhs, basis, total)
+    if tableaus is not None:
+        tableaus.append(tableau)
+    if artificial:
+        tableau.run_simplex([F(0)] * width + [F(1)] * len(artificial),
+                            [True] * total)
     if any(tableau.rhs[r] > 0 for r in range(m) if tableau.basis[r] >= width):
         return LPResult(INFEASIBLE), tableau.pivots
     for r in range(m):
@@ -296,7 +349,7 @@ def fraction_solve(lp):
     tableau.basis = [tableau.basis[r] for r in keep]
     sign = -1 if lp.maximize else 1
     cost = [sign * F(c) for c in lp.objective] + [F(0)] * (total - n)
-    tableau.run_simplex(cost, [True] * width + [False] * m)
+    tableau.run_simplex(cost, [True] * width + [False] * len(artificial))
     x = [F(0)] * n
     for r, col in enumerate(tableau.basis):
         if col < n:
@@ -411,6 +464,52 @@ class TestIntegerTableauMatchesReference:
         for lp in programs:
             assert_same_as_reference(lp, integer_pivots)
 
+    def test_fractional_programs(self, integer_pivots):
+        # Slack and artificial columns stay unit columns while the others
+        # are scaled by s > 1; pricing must weigh them back to agree with
+        # the rational simplex's choice of entering column.
+        rng = np.random.default_rng(20261018)
+        statuses = Counter()
+        for _ in range(40):
+            lp = fractional_program(rng)
+            assert_same_as_reference(lp, integer_pivots)
+            statuses[solve(lp).status] += 1
+        assert statuses[OPTIMAL] and statuses[INFEASIBLE], statuses
+
+    def test_contextual_fraction_starts_on_slacks(self, monkeypatch,
+                                                  integer_pivots):
+        # Every row of the contextual-fraction program is a <= row with a
+        # nonnegative right-hand side: no artificial column is built, and
+        # the only pricing is phase 2's, before the first pivot.
+        pivots, _ = integer_pivots
+        starts, prices = [], []
+        init, price = exactlp._Tableau.__init__, exactlp._Tableau.price
+
+        def recording_init(tableau, rows, basis, *args):
+            starts.append((len(rows[0]), list(basis)))
+            init(tableau, rows, basis, *args)
+
+        def recording_price(tableau, c):
+            prices.append(len(pivots))
+            price(tableau, c)
+
+        programs = []
+
+        def recording_solve(lp):
+            programs.append(lp)
+            return solve(lp)
+
+        monkeypatch.setattr(exactlp._Tableau, "__init__", recording_init)
+        monkeypatch.setattr(exactlp._Tableau, "price", recording_price)
+        monkeypatch.setattr(decompose, "solve", recording_solve)
+        box = parity_mixture(random.Random(0), peres_box(), F(3, 4), F(1))
+        assert decompose.contextual_fraction(box).ncf < 1
+        (lp,) = programs
+        n, m = lp.n, len(lp.le_rows)
+        assert not lp.eq_rows and m > 0
+        assert starts == [(n + m + 1, list(range(n, n + m)))]
+        assert prices == [0] and pivots
+
 
 class TestInfeasibilityCertificate:
     def certificate(self, lp, monkeypatch):
@@ -442,6 +541,22 @@ class TestInfeasibilityCertificate:
         assert len(infeasible) == 2
         for lp in infeasible:
             self.check_perturbations(*self.certificate(lp, monkeypatch))
+
+    def test_mixed_program_certificate(self, monkeypatch):
+        # x0 + x1 + x2 = 4 needs an artificial; x_i <= 1 start on their
+        # slacks.  y reads the equality from its artificial's reduced cost
+        # and the caps from their slacks'.
+        lp = LinearProgram(
+            n=3, objective=[F(1), F(0), F(0)], maximize=True,
+            eq_rows=[[F(1), F(1), F(1)]], eq_rhs=[F(4)],
+            le_rows=[[F(1), F(0), F(0)], [F(0), F(1), F(0)],
+                     [F(0), F(0), F(1)], [F(1), F(-1), F(0)]],
+            le_rhs=[F(1), F(1), F(1), F(2)])
+        rows, rhs, y = self.certificate(lp, monkeypatch)
+        assert y[0] > 0 and all(v < 0 for v in y[1:4])
+        self.check_perturbations(rows, rhs, y)
+        with pytest.raises(AssertionError, match="certificate"):
+            exactlp._verify_infeasibility(rows, rhs, [-v for v in y])
 
     def check_perturbations(self, rows, rhs, y):
         assert self.holds(rows, rhs, y)
