@@ -53,11 +53,12 @@ from .scenario import (
     box_to_json_dict,
     format_rational,
     inequality_lhs,
-    rational_to_decimal,
 )
 from .vertices import enumerate_local_vertices, enumerate_nc_vertices
 from .witnesses import (
     CSV_COLUMNS,
+    _csv_bool,
+    _rational_cells,
     classify,
     report_to_csv_row,
     report_to_json_dict,
@@ -233,23 +234,17 @@ def _sweep_row(w: Fraction, box, budget: int | None) -> dict:
         result = min_nc_dimension(box, budget)
         if result.status == EXACT:
             dim_cell = str(result.dimension)
-    return {
-        "W": format_rational(w),
-        "W_dec": rational_to_decimal(w),
-        "ineq_lhs": format_rational(lhs),
-        "ineq_lhs_dec": rational_to_decimal(lhs),
-        "contextual": "true" if contextual else "false",
-        "cost": format_rational(fraction.cost),
-        "cost_dec": rational_to_decimal(fraction.cost),
-        "Q": format_rational(sdi.q_witness),
-        "Q_dec": rational_to_decimal(sdi.q_witness),
-        "cov_DE": format_rational(sdi.cov_de),
-        "cov_DE_dec": rational_to_decimal(sdi.cov_de),
-        "peres_strength": "" if ps is None else format_rational(ps),
-        "peres_strength_dec": "" if ps is None else rational_to_decimal(ps),
-        "sdi_contextual": "true" if sdi.passed else "false",
-        "min_nc_dim": dim_cell,
-    }
+    return dict(zip(SWEEP_COLUMNS, [
+        *_rational_cells(w),
+        *_rational_cells(lhs),
+        _csv_bool(contextual),
+        *_rational_cells(fraction.cost),
+        *_rational_cells(sdi.q_witness),
+        *_rational_cells(sdi.cov_de),
+        *_rational_cells(ps),
+        _csv_bool(sdi.passed),
+        dim_cell,
+    ]))
 
 
 def cmd_sweep(args) -> int:

@@ -72,8 +72,8 @@ from .scenario import (
     BELL_SETTINGS,
     BellMarginal,
     Box,
+    _bell_covariance,
     as_rational,
-    bell_correlator,
     bell_single,
     format_rational,
     validate_bell_marginal,
@@ -797,8 +797,7 @@ def product_lhv_terms(marginal: BellMarginal
     """
     alpha = (bell_single(marginal, "A", 0), bell_single(marginal, "A", 1))
     beta = (bell_single(marginal, "B", 0), bell_single(marginal, "B", 1))
-    C = [[bell_correlator(marginal, x, y) - alpha[x] * beta[y]
-          for y in (0, 1)] for x in (0, 1)]
+    C = _bell_covariance(marginal)
     if all(C[x][y] == 0 for x in (0, 1) for y in (0, 1)):
         return (ProductTerm(_ONE, alpha, beta),)
     if C[0][0] * C[1][1] - C[0][1] * C[1][0] != 0:

@@ -23,11 +23,12 @@ every entry ``x`` outside the pivot row by ``(p*x - f*y) // d``, where
 ``f`` is its row's entry in the pivot column and ``y`` the pivot row's
 entry in its column, and then sets ``d = p``.  ``M`` is then ``d`` times
 ``B^-1`` times the scaled matrix, for the current basis ``B``, with
-``d = |det B|``, so every division is exact (Cramer's rule).  Only a
-drive-out pivot can be negative; it is followed by negating ``M`` and
-``d``, so that ``d > 0`` and the signs of ``M`` are those of the true
-tableau.  The reduced-cost row is one more integer row on the same scale,
-pivoted with the others, so nothing is recomputed per iteration.  The step
+``d = |det B|``, so every division is exact (Cramer's rule).  Every pivot
+is positive, so ``d > 0`` and the signs of ``M`` are those of the true
+tableau: the ratio test takes only positive entries, and a drive-out that
+meets a negative entry first negates its row, whose right-hand side is 0.
+The reduced-cost row is one more integer row on the same scale, pivoted
+with the others, so nothing is recomputed per iteration.  The step
 (:func:`_bareiss_step`) and the lcm scaling (:func:`_integers`) also serve
 the subset search in :mod:`.decompose`.  Every program this package builds
 has integer rows, so there ``s = 1``.
@@ -162,12 +163,6 @@ class _Tableau:
                      for r, target in enumerate(self.rows)]
         self.cost = _bareiss_step(self.cost, pivot)
         self.basis[row] = col
-        if p < 0:
-            # Only drive-out pivots can be negative; keep d > 0 so the
-            # signs of the integer entries are the true tableau's.
-            self.rows = [[-v for v in target] for target in self.rows]
-            self.cost = [-v for v in self.cost]
-            p = -p
         self.d = p
 
     def run_simplex(self) -> None:
@@ -306,6 +301,9 @@ def solve(lp: LinearProgram) -> LPResult:
                     (j for j in range(width) if tableau.rows[r][j] != 0),
                     None)
                 if pivot_col is not None:
+                    if tableau.rows[r][pivot_col] < 0:
+                        # Its right-hand side is 0, so it stays >= 0.
+                        tableau.rows[r] = [-v for v in tableau.rows[r]]
                     tableau.pivot(r, pivot_col)
         keep = [r for r in range(m) if tableau.basis[r] < width]
         # Artificial columns can no longer enter, so phase 2 drops them.

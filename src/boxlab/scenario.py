@@ -56,14 +56,13 @@ CONTEXT_OBSERVABLES: dict[str, tuple[str, ...]] = {
 
 CONTEXT_SIZES: dict[str, int] = {c: 2 ** len(o) for c, o in CONTEXT_OBSERVABLES.items()}
 
-#: Each observable's two hosting contexts with its position in their outcome tuples.
+#: Each observable's two hosting contexts with its position in their outcome
+#: tuples, in the order validation checks no-disturbance.
 OBSERVABLE_HOSTS: dict[str, tuple[tuple[str, int], tuple[str, int]]] = {
-    "A0": (("C0", 0), ("C1", 0)),
-    "B0": (("C0", 1), ("C2", 1)),
-    "B1": (("C1", 1), ("C3", 1)),
-    "A1": (("C2", 0), ("C3", 0)),
-    "D": (("C1", 2), ("C4", 0)),
-    "E": (("C2", 2), ("C4", 1)),
+    name: tuple((c, observables.index(name))
+                for c, observables in CONTEXT_OBSERVABLES.items()
+                if name in observables)
+    for name in ("A0", "B0", "B1", "A1", "D", "E")
 }
 
 _ORDER4: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -79,11 +78,9 @@ OUTCOME_ORDERS: dict[str, tuple[tuple[int, ...], ...]] = {
 
 
 def outcome_index(context: str, outcome: Sequence[int]) -> int:
-    """Flat index of an outcome bit tuple within its context's distribution."""
-    bits = tuple(outcome)
-    if len(bits) == 2:
-        return 2 * bits[0] + bits[1]
-    return 4 * bits[2] + 2 * bits[0] + bits[1]
+    """Flat index of an outcome bit tuple within its context's distribution;
+    :class:`ValueError` for a tuple that is not one of its outcomes."""
+    return OUTCOME_ORDERS[context].index(tuple(outcome))
 
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
@@ -308,23 +305,43 @@ def validate_bell_marginal(raw, label: str | None = None) -> BellMarginal:
                         label)
 
 
-def bell_marginal(box: Box) -> BellMarginal:
-    """The Bell marginal of a box.
+def _pair_distribution(box: Box, o1: str, o2: str) -> tuple[Fraction, ...]:
+    """Joint distribution of two observables, outcome ``(a, b)`` at index
+    ``2*a + b``, summed from the context that hosts both."""
+    context_id, observables = next(
+        (c, observables) for c, observables in CONTEXT_OBSERVABLES.items()
+        if o1 in observables and o2 in observables)
+    i, j = observables.index(o1), observables.index(o2)
+    dist = [Fraction(0)] * 4
+    for o, p in zip(OUTCOME_ORDERS[context_id], box.context(context_id)):
+        dist[2 * o[i] + o[j]] += p
+    return tuple(dist)
 
-    A0B0 and A1B1 are copied from C0 and C3; A0B1 sums C1 over D's outcome;
-    A1B0 sums C2 over E's outcome.  The result satisfies no-signaling because
-    the box satisfies no-disturbance.
+
+def _pair_covariance(dist: Sequence[Fraction]) -> Fraction:
+    """``<O1 O2> - <O1><O2>`` of a pair distribution indexed at ``2*a + b``,
+    with the bit 0 -> +1, bit 1 -> -1 convention."""
+    p00, p01, p10, p11 = dist
+    return (p00 - p01 - p10 + p11) - (p00 + p01 - p10 - p11) * (
+        p00 - p01 + p10 - p11)
+
+
+def bell_marginal(box: Box) -> BellMarginal:
+    """The Bell marginal of a box: each pair (A_x, B_y) read from the context
+    that hosts it.  The result satisfies no-signaling because the box
+    satisfies no-disturbance.
     """
-    a0b1 = [Fraction(0)] * 4
-    for o, p in zip(OUTCOME_ORDERS["C1"], box.context("C1")):
-        a0b1[2 * o[0] + o[1]] += p
-    a1b0 = [Fraction(0)] * 4
-    for o, p in zip(OUTCOME_ORDERS["C2"], box.context("C2")):
-        a1b0[2 * o[0] + o[1]] += p
     return BellMarginal(
-        (box.context("C0"), tuple(a0b1), tuple(a1b0), box.context("C3")),
+        tuple(_pair_distribution(box, f"A{x}", f"B{y}")
+              for x, y in BELL_SETTINGS),
         box.label,
     )
+
+
+def _bell_covariance(marginal: BellMarginal) -> list[list[Fraction]]:
+    """The cross-covariance matrix ``C[x][y] = cov(A_x, B_y)``."""
+    return [[_pair_covariance(marginal.dist(x, y)) for y in (0, 1)]
+            for x in (0, 1)]
 
 
 def bell_correlator(marginal: BellMarginal, x: int, y: int) -> Fraction:

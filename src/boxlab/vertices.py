@@ -24,6 +24,7 @@ from functools import lru_cache
 from .errors import BoxParseError
 from .scenario import (
     CONTEXT_IDS,
+    CONTEXT_OBSERVABLES,
     CONTEXT_SIZES,
     BellMarginal,
     Box,
@@ -107,15 +108,11 @@ def parse_local_label(label: str) -> LocalDetBoxId:
 
 
 def _det_outcomes(vid: DetBoxId) -> dict[str, tuple[int, ...]]:
-    a = (vid.beta, vid.alpha ^ vid.beta)          # a_0, a_1
-    b = (vid.epsilon, vid.gamma ^ vid.epsilon)    # b_0, b_1
-    return {
-        "C0": (a[0], b[0]),
-        "C1": (a[0], b[1], vid.d),
-        "C2": (a[1], b[0], vid.e),
-        "C3": (a[1], b[1]),
-        "C4": (vid.d, vid.e),
-    }
+    value = {"A0": vid.beta, "A1": vid.alpha ^ vid.beta,
+             "B0": vid.epsilon, "B1": vid.gamma ^ vid.epsilon,
+             "D": vid.d, "E": vid.e}
+    return {c: tuple(value[o] for o in observables)
+            for c, observables in CONTEXT_OBSERVABLES.items()}
 
 
 def det_box(vid: DetBoxId) -> Box:

@@ -32,16 +32,15 @@ from .decompose import (
 )
 from .errors import NotDecomposable, PairNotJoint
 from .scenario import (
-    BellMarginal,
     Box,
-    bell_correlator,
+    _bell_covariance,
+    _pair_covariance,
+    _pair_distribution,
     bell_marginal,
-    bell_single,
     expectation,
     format_rational,
     inequality_lhs,
     rational_to_decimal,
-    single_marginal,
 )
 
 #: Observable pairs hosted in a single context: the four Bell pairs plus (D,E).
@@ -52,36 +51,26 @@ HOSTED_PAIRS = (("A0", "B0"), ("A0", "B1"), ("A1", "B0"), ("A1", "B1"),
 def covariance(box: Box, pair: tuple[str, str]) -> Fraction:
     """Exact <O1 O2> - <O1><O2> for a pair hosted in one context.
 
-    Supported pairs: the four (A_x, B_y) via the Bell marginal and (D, E) via
-    the D,E context; order within the pair does not matter.  Any other pair
-    raises :class:`PairNotJoint`.  Outcomes carry the 0 -> +1, 1 -> -1 sign
-    convention.
+    Supported pairs: the four (A_x, B_y) and (D, E), each read from the
+    context that hosts it; order within the pair does not matter.  Any
+    other pair raises :class:`PairNotJoint`.  Outcomes carry the 0 -> +1,
+    1 -> -1 sign convention.
     """
     names = tuple(pair)
     if len(names) != 2:
         raise PairNotJoint(f"expected a pair of observables, got {pair!r}")
-    key = tuple(sorted(names))
-    if key == ("D", "E"):
-        joint = expectation(box, "C4")
-        d0, d1 = single_marginal(box, "D")
-        e0, e1 = single_marginal(box, "E")
-        return joint - (d0 - d1) * (e0 - e1)
-    for x in (0, 1):
-        for y in (0, 1):
-            if key == tuple(sorted((f"A{x}", f"B{y}"))):
-                marginal = bell_marginal(box)
-                return (bell_correlator(marginal, x, y)
-                        - bell_single(marginal, "A", x)
-                        * bell_single(marginal, "B", y))
-    raise PairNotJoint(
-        f"covariance is not tracked for the pair ({names[0]}, {names[1]}); "
-        "supported pairs are the four (Ax, By) pairs and (D, E)")
+    if tuple(sorted(names)) not in HOSTED_PAIRS:
+        raise PairNotJoint(
+            "covariance is not tracked for the pair "
+            f"({names[0]}, {names[1]}); "
+            "supported pairs are the four (Ax, By) pairs and (D, E)")
+    return _pair_covariance(_pair_distribution(box, *names))
 
 
 def q_witness(box: Box) -> Fraction:
     """Determinant of the covariance matrix [cov(A_x, B_y)]_{x,y}."""
-    return (covariance(box, ("A0", "B0")) * covariance(box, ("A1", "B1"))
-            - covariance(box, ("A1", "B0")) * covariance(box, ("A0", "B1")))
+    C = _bell_covariance(bell_marginal(box))
+    return C[0][0] * C[1][1] - C[1][0] * C[0][1]
 
 
 @dataclass(frozen=True)
@@ -274,9 +263,16 @@ def _csv_bool(value: bool | None) -> str:
     return "true" if value else "false"
 
 
+def _rational_cells(value: Fraction | None) -> list[str]:
+    """``[num/den, 12-digit decimal]`` cells of a rational; two blanks for
+    None."""
+    if value is None:
+        return ["", ""]
+    return [format_rational(value), rational_to_decimal(value)]
+
+
 def report_to_csv_row(report: Report) -> list[str]:
     """Flatten to one row matching :data:`CSV_COLUMNS`; None becomes blank."""
-    ps = report.peres_strength
 
     def dim_cells(result: DimensionResult | None) -> tuple[str, str]:
         if result is None:
@@ -288,22 +284,16 @@ def report_to_csv_row(report: Report) -> list[str]:
     return [
         report.label or "",
         _csv_bool(report.nd_valid),
-        format_rational(report.inequality_lhs),
-        rational_to_decimal(report.inequality_lhs),
+        *_rational_cells(report.inequality_lhs),
         _csv_bool(report.contextual),
-        format_rational(report.ncf),
-        rational_to_decimal(report.ncf),
-        format_rational(report.cost),
-        rational_to_decimal(report.cost),
-        format_rational(report.q_witness),
-        rational_to_decimal(report.q_witness),
-        format_rational(report.cov_de),
-        rational_to_decimal(report.cov_de),
+        *_rational_cells(report.ncf),
+        *_rational_cells(report.cost),
+        *_rational_cells(report.q_witness),
+        *_rational_cells(report.cov_de),
         format_rational(report.c1_expectation),
         format_rational(report.c2_expectation),
         _csv_bool(report.sdi_contextual),
-        "" if ps is None else format_rational(ps),
-        "" if ps is None else rational_to_decimal(ps),
+        *_rational_cells(report.peres_strength),
         nc_dim,
         nc_status,
         _csv_bool(report.supernoncontextual),

@@ -449,13 +449,26 @@ class TestIntegerTableauMatchesReference:
             if name.startswith("relabelled"):
                 assert classify(make(), skip_dims=True).peres_strength is None
 
-    def test_negative_drive_out_pivot_runs(self, integer_pivots):
-        # A negative integer pivot only happens while driving a zero-level
-        # artificial out of the basis; it must flip the tableau's sign.
+    def test_negative_drive_out_pivot_runs(self, monkeypatch,
+                                           integer_pivots):
+        # The noise box's programs drive a zero-level artificial out of the
+        # basis on a negative entry (the ratio test takes only positive
+        # ones); the integer tableau negates that row first, so every pivot
+        # it takes is positive.
         _, negative = integer_pivots
+        reference = []
+        pivot = FractionTableau.pivot
+
+        def recording(tableau, row, col):
+            if tableau.rows[row][col] < 0:
+                reference.append((row, col))
+            pivot(tableau, row, col)
+
+        monkeypatch.setattr(FractionTableau, "pivot", recording)
         for lp in classify_programs(noise_box()):
             assert_same_as_reference(lp, integer_pivots)
-        assert negative
+        assert reference
+        assert negative == []
 
     def test_random_and_degenerate_programs(self, integer_pivots):
         rng = np.random.default_rng(20240817)

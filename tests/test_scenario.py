@@ -16,6 +16,7 @@ from boxlab.errors import (
 from boxlab.scenario import (
     BELL_SETTINGS,
     CONTEXT_IDS,
+    OBSERVABLE_HOSTS,
     OUTCOME_ORDERS,
     bell_correlator,
     bell_marginal,
@@ -101,6 +102,38 @@ class TestOutcomeIndexing:
             assert len(set(order)) == len(order)
             indices = sorted(outcome_index(cid, o) for o in order)
             assert indices == list(range(len(order)))
+
+    def test_index_formula_on_every_outcome(self):
+        for cid in CONTEXT_IDS:
+            for bits in OUTCOME_ORDERS[cid]:
+                if len(bits) == 2:
+                    expected = 2 * bits[0] + bits[1]
+                else:
+                    expected = 4 * bits[2] + 2 * bits[0] + bits[1]
+                assert outcome_index(cid, bits) == expected
+                assert outcome_index(cid, list(bits)) == expected
+
+    @pytest.mark.parametrize("cid, outcome", [
+        ("C0", (0, 0, 0)), ("C4", (1,)), ("C1", (0, 1)), ("C2", (0, 2, 0)),
+        ("C3", (2, 0)), ("C0", ()),
+    ])
+    def test_outcome_outside_the_order_raises(self, cid, outcome):
+        with pytest.raises(ValueError):
+            outcome_index(cid, outcome)
+
+
+class TestObservableHosts:
+    def test_matches_the_literal_table(self):
+        # Validation checks no-disturbance in this order, so its first
+        # violation message depends on it.
+        assert list(OBSERVABLE_HOSTS.items()) == [
+            ("A0", (("C0", 0), ("C1", 0))),
+            ("B0", (("C0", 1), ("C2", 1))),
+            ("B1", (("C1", 1), ("C3", 1))),
+            ("A1", (("C2", 0), ("C3", 0))),
+            ("D", (("C1", 2), ("C4", 0))),
+            ("E", (("C2", 2), ("C4", 1))),
+        ]
 
 
 class TestValidation:

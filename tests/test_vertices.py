@@ -12,6 +12,7 @@ from boxlab.scenario import bell_marginal, inequality_lhs, validate_box
 from boxlab.vertices import (
     DetBoxId,
     LocalDetBoxId,
+    _det_outcomes,
     det_box,
     enumerate_local_vertices,
     enumerate_nc_vertices,
@@ -49,6 +50,22 @@ def rule_based_tables(alpha, beta, gamma, epsilon, d, e):
         two(a[1], b[1]),
         two(d, e),
     )
+
+
+class TestDetOutcomes:
+    def test_all_64_match_the_literal_rule(self):
+        for bits in product((0, 1), repeat=6):
+            vid = DetBoxId(*bits)
+            alpha, beta, gamma, epsilon, d, e = bits
+            a = (beta, alpha ^ beta)
+            b = (epsilon, gamma ^ epsilon)
+            assert _det_outcomes(vid) == {
+                "C0": (a[0], b[0]),
+                "C1": (a[0], b[1], d),
+                "C2": (a[1], b[0], e),
+                "C3": (a[1], b[1]),
+                "C4": (d, e),
+            }
 
 
 class TestEnumeration:

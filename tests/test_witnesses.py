@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import random
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -15,7 +16,16 @@ from boxlab import decompose, witnesses
 from boxlab.boxes import noise_box, noisy_peres_box, peres_box, uniform_box
 from boxlab.decompose import is_superlocal
 from boxlab.errors import PairNotJoint, ParameterOutOfRange
-from boxlab.scenario import bell_marginal, validate_box
+from boxlab.scenario import (
+    bell_correlator,
+    bell_marginal,
+    bell_single,
+    expectation,
+    mix_boxes,
+    single_marginal,
+    validate_box,
+)
+from boxlab.vertices import enumerate_nc_vertices
 from boxlab.witnesses import (
     CSV_COLUMNS,
     HOSTED_PAIRS,
@@ -92,6 +102,68 @@ class TestQWitness:
         det = (covariance(box, ("A0", "B0")) * covariance(box, ("A1", "B1"))
                - covariance(box, ("A1", "B0")) * covariance(box, ("A0", "B1")))
         assert q_witness(box) == det == Fraction(1, 9)
+
+
+def singles_covariance_matrix(marginal):
+    """[cov(A_x, B_y)] as the correlator minus the product of singles."""
+    return [[bell_correlator(marginal, x, y)
+             - bell_single(marginal, "A", x) * bell_single(marginal, "B", y)
+             for y in (0, 1)] for x in (0, 1)]
+
+
+def singles_covariance(box, pair):
+    """cov of a hosted pair as the correlator minus the product of singles."""
+    if pair == ("D", "E"):
+        d0, d1 = single_marginal(box, "D")
+        e0, e1 = single_marginal(box, "E")
+        return expectation(box, "C4") - (d0 - d1) * (e0 - e1)
+    x, y = int(pair[0][1]), int(pair[1][1])
+    return singles_covariance_matrix(bell_marginal(box))[x][y]
+
+
+def seeded_mixtures():
+    """Seeded noncontextual vertex mixtures, each also mixed with the
+    parity box."""
+    rng = random.Random(20261018)
+    vertices = enumerate_nc_vertices()
+    boxes = []
+    for _ in range(30):
+        chosen = rng.sample(vertices, rng.randint(1, 5))
+        weights = [Fraction(rng.randint(1, 9)) for _ in chosen]
+        total = sum(weights)
+        nc = mix_boxes([(w / total, box) for w, (_, box) in zip(weights,
+                                                              chosen)])
+        p = Fraction(rng.randint(1, 19), 20)
+        boxes += [nc, mix_boxes([(p, peres_box()), (1 - p, nc)])]
+    return boxes
+
+
+class TestCovarianceMatchesSinglesFormula:
+    """Every covariance reads its pair's joint distribution from the hosting
+    context; it must equal the correlator minus the product of singles."""
+
+    def test_pair_covariances_in_both_orders(self):
+        for box in seeded_mixtures():
+            for pair in HOSTED_PAIRS:
+                expected = singles_covariance(box, pair)
+                assert covariance(box, pair) == expected
+                assert covariance(box, pair[::-1]) == expected
+
+    def test_q_witness(self):
+        for box in seeded_mixtures():
+            C = singles_covariance_matrix(bell_marginal(box))
+            assert q_witness(box) == C[0][0] * C[1][1] - C[1][0] * C[0][1]
+
+    def test_product_model(self, monkeypatch):
+        marginals = [bell_marginal(box) for box in seeded_mixtures()]
+        marginals = [m for m in marginals
+                     if decompose.bell_local_membership(m)[0]]
+        models = [decompose.product_lhv_terms(m) for m in marginals]
+        monkeypatch.setattr(decompose, "_bell_covariance",
+                            singles_covariance_matrix)
+        assert models == [decompose.product_lhv_terms(m) for m in marginals]
+        assert None in models
+        assert any(model is not None and len(model) == 2 for model in models)
 
 
 class TestSdiCheck:
