@@ -65,6 +65,10 @@ from .witnesses import (
     sdi_contextuality_check,
 )
 
+#: Most grid points one ``sweep`` takes; its grid and boxes are built up
+#: front, so a larger ``--steps`` is rejected before any of that work.
+MAX_SWEEP_STEPS = 10_000
+
 #: Box families generated directly from exact matrices (no quantum step).
 FAMILY_CHOICES = ("peres", "noise", "noisy-peres", "uniform")
 STATE_CHOICES = ("max-entangled", "werner", "cc", "rank2", "rank3-rho",
@@ -212,6 +216,9 @@ def _sweep_grid(from_text: str, to_text: str, steps: int) -> list[Fraction]:
     stop = as_rational(to_text)
     if steps < 2:
         raise BoxParseError("--steps must be at least 2")
+    if steps > MAX_SWEEP_STEPS:
+        raise ParameterOutOfRange(
+            f"--steps must be at most {MAX_SWEEP_STEPS}, got {steps}")
     if not start < stop:
         raise BoxParseError("--from must be strictly below --to")
     if start < 0 or stop > 1:
@@ -324,7 +331,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="RATIONAL")
     sweep.add_argument("--to", dest="sweep_to", required=True,
                        metavar="RATIONAL")
-    sweep.add_argument("--steps", type=int, required=True)
+    sweep.add_argument("--steps", type=int, required=True,
+                       help=f"grid points, 2 to {MAX_SWEEP_STEPS}")
     sweep.add_argument("--format", choices=("csv", "json-lines"),
                        default="csv")
     sweep.add_argument("--max-denominator", type=int)

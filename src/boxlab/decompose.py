@@ -66,8 +66,8 @@ from .errors import (
     NotNoncontextual,
     ParameterOutOfRange,
 )
-from .exactlp import (OPTIMAL, LinearProgram, _bareiss_step, _integers,
-                      solve)
+from .exactlp import (OPTIMAL, LinearProgram, LPResult, _bareiss_step,
+                      _integers, solve)
 from .scenario import (
     BELL_SETTINGS,
     BellMarginal,
@@ -361,12 +361,7 @@ def contextual_fraction(box: Box) -> ContextualFraction:
         ncf = _ZERO
         witness: tuple = ()
     else:
-        result = solve(LinearProgram(n=m, objective=[_ONE] * m, maximize=True,
-                                     le_rows=_cover_rows(table),
-                                     le_rhs=list(table.rhs)))
-        if result.status != OPTIMAL:
-            raise AssertionError(
-                f"contextual-fraction LP returned {result.status}")
+        result = _cost_lp(table)
         ncf = result.value
         witness = tuple((table.ids[j], result.x[j]) for j in range(m)
                         if result.x[j] > 0)
@@ -374,6 +369,22 @@ def contextual_fraction(box: Box) -> ContextualFraction:
     if ncf < 1:
         _assert_valid_remainder(box, witness, ncf)
     return ContextualFraction(ncf, cost, witness)
+
+
+@lru_cache(maxsize=1)
+def _cost_lp(table: _CellTable) -> LPResult:
+    """The contextual-fraction LP on a table with candidates: the largest
+    vertex mixture under the box on its support cells.  A memo of the last
+    table only, so :func:`peres_strength` continues from the LP that
+    :func:`contextual_fraction` just solved on the same box."""
+    m = len(table.ids)
+    result = solve(LinearProgram(n=m, objective=[_ONE] * m, maximize=True,
+                                 le_rows=_cover_rows(table),
+                                 le_rhs=list(table.rhs)))
+    if result.status != OPTIMAL:
+        raise AssertionError(
+            f"contextual-fraction LP returned {result.status}")
+    return result
 
 
 def _assert_valid_remainder(box: Box, witness, ncf: Fraction) -> None:
@@ -400,6 +411,14 @@ def peres_strength(box: Box) -> PeresStrength:
     Raises :class:`NotDecomposable` when no p in [0, 1] admits such a split
     (the box carries contextuality not aligned with the parity box and is not
     noncontextual either).
+
+    The program is the contextual-fraction LP's cell rows as equalities,
+    plus a trailing column for the parity box and a row summing the
+    weights, so it is solved as a continuation of that LP's final tableau
+    (see :func:`~boxlab.exactlp.solve`): the LP is solved here first when
+    :func:`contextual_fraction` has not just solved it on the same box, and
+    the answer does not depend on which.  With no candidate vertex (the
+    parity box itself) there is no such LP and the program is solved cold.
     """
     parity = peres_box()
     # Support-filtered candidates are exact here too: on cells where the box
@@ -413,10 +432,11 @@ def peres_strength(box: Box) -> PeresStrength:
     # integers by s keeps every row integer; the LP variable is then p/s,
     # with entry s in the objective and in the sum row.
     s, column = _integers([parity.contexts[i][j] for i, j in table.cells])
-    rows = [[q, *row] for q, row in zip(column, _cover_rows(table))]
+    rows = [[*row, q] for row, q in zip(_cover_rows(table), column)]
     result = solve(LinearProgram(
-        n=m + 1, objective=[s] + [0] * m, maximize=True,
-        eq_rows=[*rows, [s] + [1] * m], eq_rhs=[*table.rhs, _ONE]))
+        n=m + 1, objective=[0] * m + [s], maximize=True,
+        eq_rows=[*rows, [1] * m + [s]], eq_rhs=[*table.rhs, _ONE],
+        start=_cost_lp(table) if m else None))
     if result.status != OPTIMAL:
         raise NotDecomposable(
             "box is not a mixture of the parity box with a noncontextual box")
@@ -424,8 +444,8 @@ def peres_strength(box: Box) -> PeresStrength:
     if ps == 1:
         return PeresStrength(ps, None)
     scale = 1 / (1 - ps)
-    terms = [(table.ids[j], result.x[j + 1] * scale)
-             for j in range(m) if result.x[j + 1] > 0]
+    terms = [(table.ids[j], result.x[j] * scale)
+             for j in range(m) if result.x[j] > 0]
     # The residual is forced once p is: check the terms against it.
     residual = Box(tuple(
         tuple((b - ps * q) * scale for b, q in zip(dist, parity_dist))

@@ -47,6 +47,19 @@ the final ``x[j] = M[r][-1] / (d*t)``, and the checks below.  No tolerances
 anywhere, and the fixed variable order makes identical programs yield
 identical results.
 
+A program may continue from an earlier one (``LinearProgram.start``) whose
+rows were all ``<=`` with nonnegative right-hand sides, when it takes those
+rows as equalities and adds trailing columns and equality rows.  The
+earlier standard form ``[rows | slacks | b]`` is then the new program's
+cold phase-1 tableau less the new columns and rows, each slack the unit
+column of its row's artificial.  Pivots are row operations, so the earlier
+final tableau, with each new column entered as its slack block
+(``d B^-1``) times the column and each new row reduced against the basis
+over its own artificial, is exactly the new cold tableau after the earlier
+pivots, at the same ``d`` (the new rows add an identity block to the
+basis).  Everything after that, the Farkas vector included, is the cold
+path's.
+
 Every returned answer is re-verified against the original program before it
 is handed back: optimal solutions are re-checked constraint by constraint,
 and infeasibility by a Farkas certificate read from the final phase-1
@@ -63,7 +76,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import MalformedProgram
 
@@ -77,7 +90,8 @@ _ONE = Fraction(1)
 @dataclass
 class LinearProgram:
     """``max/min objective . x`` subject to ``eq_rows x = eq_rhs``,
-    ``le_rows x <= le_rhs`` and ``x >= 0``."""
+    ``le_rows x <= le_rhs`` and ``x >= 0``; ``start`` is an earlier
+    :func:`solve` result to continue from, and not part of the program."""
 
     n: int
     objective: Sequence[Fraction]
@@ -86,15 +100,22 @@ class LinearProgram:
     eq_rhs: Sequence[Fraction] = field(default_factory=list)
     le_rows: Sequence[Sequence[Fraction]] = field(default_factory=list)
     le_rhs: Sequence[Fraction] = field(default_factory=list)
+    start: LPResult | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class LPResult:
-    """Outcome of :func:`solve`: status plus exact optimum when it exists."""
+    """Outcome of :func:`solve`: status plus exact optimum when it exists.
+
+    ``tableau`` holds the final tableau of a program that had only ``<=``
+    rows with nonnegative right-hand sides, for a later program to continue
+    from; it is None otherwise, and takes no part in ``==`` or ``repr``.
+    """
 
     status: str
     value: Fraction | None = None
     x: tuple[Fraction, ...] | None = None
+    tableau: _Final | None = field(default=None, compare=False, repr=False)
 
 
 def _rational(v) -> int | Fraction:
@@ -139,11 +160,11 @@ class _Tableau:
     """
 
     def __init__(self, rows: list[list[int]], basis: list[int], n: int,
-                 weight: int) -> None:
+                 weight: int, d: int = 1) -> None:
         self.rows = rows
         self.basis = basis        # basic column index per row
         self.cost: list[int] = []
-        self.d = 1
+        self.d = d
         self.n = n
         self.weight = weight
 
@@ -207,6 +228,17 @@ class _Tableau:
             self.pivot(leaving, entering)
 
 
+class _Final(NamedTuple):
+    """A solved program's last tableau, with what a continuation checks it
+    against: the standard-form rows and right-hand side it was built from,
+    and the factor ``t`` its right-hand-side column is scaled by."""
+
+    rows: list[list[Fraction]]
+    rhs: list[Fraction]
+    t: int
+    tableau: _Tableau
+
+
 def _bareiss_step(v: list[int], pivot: tuple[int, int, int, list[int]]
                   ) -> list[int]:
     """Clear ``v`` at the pivot ``(column, p, d, row)``, ``d`` the previous
@@ -237,8 +269,17 @@ def solve(lp: LinearProgram) -> LPResult:
     Farkas certificate.  Phase 2 optimizes the requested objective.  The
     returned vertex solution is re-verified against the original
     constraints.
+
+    With ``lp.start``, the result of an earlier ``solve`` of a program of
+    ``<=`` rows with nonnegative right-hand sides, phase 1 starts from that
+    program's final tableau, which is exact (see the module docstring).
+    ``lp`` must begin with exactly those rows as equalities, with the same
+    right-hand sides, and add only trailing columns and equality rows;
+    anything else raises :class:`MalformedProgram`.
     """
     objective, eq_rows, eq_rhs, le_rows, le_rhs = _validated(lp)
+    if lp.start is not None and le_rows:
+        raise MalformedProgram("a continued program has only equality rows")
 
     # --- standard form: minimize, equality rows, slack per inequality -----
     n, m_eq, nslack = lp.n, len(eq_rows), len(le_rows)
@@ -254,30 +295,29 @@ def solve(lp: LinearProgram) -> LPResult:
     # Row r starts on its slack, column n + r - m_eq, when that slack keeps
     # its +1 after the sign flip below, else on an artificial column.
     artificial = [r for r in range(m) if r < m_eq or rhs[r] < 0]
-    basis = [n + r - m_eq for r in range(m)]
+    initial = [n + r - m_eq for r in range(m)]
     for k, r in enumerate(artificial):
-        basis[r] = width + k
+        initial[r] = width + k
     for r in range(m):
         if rhs[r] < 0:
             rows[r] = [-v for v in rows[r]]
             rhs[r] = -rhs[r]
 
     # --- integer tableau: one scale s on the structural columns -----------
-    # The slack and artificial columns stay unit columns, so the start is
+    # The slack and artificial columns stay unit columns, so a cold start is
     # an identity basis with d = 1; their reduced costs are then 1/s of
     # the rational simplex's, relative to the structural ones, and pricing
     # weighs them by s.
     s, entries = _integers([v for row in rows for v in row[:n]])
-    tableau_rows = [entries[r * n:(r + 1) * n]
-                    + [int(v) for v in rows[r][n:]]
-                    + [int(a == r) for a in artificial] for r in range(m)]
     # One common factor t makes the right-hand side integer; scaling a
     # column changes no pivot, and keeps d free of the rhs denominators.
     t, b = _integers([s * v for v in rhs])
-    for row, v in zip(tableau_rows, b):
-        row.append(v)
-    start = list(basis)
-    tableau = _Tableau(tableau_rows, basis, n, s)
+    cold = [entries[r * n:(r + 1) * n] + [int(v) for v in rows[r][n:]]
+            + [int(a == r) for a in artificial] + [b[r]] for r in range(m)]
+    if lp.start is None:
+        tableau = _Tableau(cold, list(initial), n, s)
+    else:
+        tableau = _continued(lp.start.tableau, rows, rhs, cold, n, s, t)
 
     # --- phase 1 ----------------------------------------------------------
     if artificial:
@@ -286,11 +326,12 @@ def solve(lp: LinearProgram) -> LPResult:
         # Bounded below by 0, so this never raises.
         tableau.run_simplex()
         if tableau.cost[-1] != 0:
-            # Row r starts on the unit column j = start[r], of cost c[j] and
+            # Row r starts on the unit column j = initial[r], of cost c[j] and
             # reduced cost cost[j] / d, so d times the phase-1 dual of row r
             # is d*c[j] - cost[j]: d - cost[art_r] or -cost[slack_r].  s > 0,
-            # so it certifies the unscaled rows too.
-            y = [tableau.d * c[j] - tableau.cost[j] for j in start]
+            # so it certifies the unscaled rows too.  A continued tableau is
+            # the cold one after more pivots, so this holds there too.
+            y = [tableau.d * c[j] - tableau.cost[j] for j in initial]
             _verify_infeasibility(rows, rhs, y)
             return LPResult(INFEASIBLE)
 
@@ -324,7 +365,57 @@ def solve(lp: LinearProgram) -> LPResult:
             x[col] = Fraction(row[-1], scale)
     value = sum((objective[i] * x[i] for i in range(n)), _ZERO)
     _verify_solution(objective, eq_rows, eq_rhs, le_rows, le_rhs, x, value)
-    return LPResult(OPTIMAL, value, tuple(x))
+    final = None if artificial else _Final(rows, rhs, t, tableau)
+    return LPResult(OPTIMAL, value, tuple(x), final)
+
+
+def _continued(final: _Final | None, rows: list[list[Fraction]],
+               rhs: list[Fraction], cold: list[list[int]], n: int, s: int,
+               t: int) -> _Tableau:
+    """The cold tableau ``cold`` of an all-equality program after the pivots
+    that solved the program of ``final``; raises :class:`MalformedProgram`
+    unless this program extends it (see :func:`solve`).  A new row whose
+    right-hand side is negative there is negated, in ``rows`` and ``rhs``
+    too, as a cold start negates one."""
+    if final is None:
+        raise MalformedProgram(
+            "start is not a solved program of <= rows with nonnegative "
+            "right-hand sides")
+    old = final.tableau
+    n0, m0, m = old.n, len(old.rows), len(rows)
+    if (n < n0 or m < m0 or old.weight != s
+            or any(rows[r][:n0] != final.rows[r][:n0] or rhs[r] != final.rhs[r]
+                   for r in range(m0))):
+        raise MalformedProgram("program does not extend the start's rows")
+    # Every row of this program starts on its artificial, column n + r;
+    # the start's slack for row r stood in for it.
+    basis = [j if j < n0 else n + j - n0 for j in old.basis]
+    ratio = t // final.t
+    continued = []
+    for row in old.rows:
+        block = row[n0:n0 + m0]          # d * B^-1
+        entered = [sum(y * a[j] for y, a in zip(block, cold) if y)
+                   for j in range(n0, n)]
+        continued.append(row[:n0] + entered + block + [0] * (m - m0)
+                         + [row[-1] * ratio])
+    # A new row a becomes d*a - sum_q a[basis[q]] * row q: d times the row
+    # of B'^-1 A for the basis B' that adds its artificial, det B' = det B.
+    for r in range(m0, m):
+        a = cold[r]
+        new = [old.d * v for v in a]
+        for q, col in enumerate(basis):
+            if a[col]:
+                new = [v - a[col] * w for v, w in zip(new, continued[q])]
+        if new[-1] < 0:
+            # The row of the program with row r negated, as a cold start
+            # negates a row with rhs < 0, so its artificial starts >= 0:
+            # every entry negates but the artificial's own d.
+            rows[r], rhs[r] = [-v for v in rows[r]], -rhs[r]
+            new = [-v for v in new]
+            new[n + r] = old.d
+        continued.append(new)
+    return _Tableau(continued, basis + list(range(n + m0, n + m)), n, s,
+                    old.d)
 
 
 def _verify_infeasibility(rows: list[list[Fraction]], rhs: list[Fraction],

@@ -419,6 +419,19 @@ class TestSweep:
             capsys, "sweep", "--family", "noisy-peres", "--from", "1/2",
             "--to", "1", "--steps", "2", "--budget", "-5"))
 
+    @pytest.mark.parametrize("steps", ["10001", "1000000000000"])
+    def test_steps_above_the_maximum_rejected_before_the_grid(
+            self, capsys, monkeypatch, steps):
+        # The grid is linear in --steps: 10^12 points would never finish.
+        monkeypatch.setattr(cli, "_source_box", None)
+        assert_one_error_line(*run_cli(
+            capsys, "sweep", "--family", "noisy-peres", "--from", "0",
+            "--to", "1", "--steps", steps))
+
+    def test_steps_at_the_maximum_accepted(self):
+        grid = cli._sweep_grid("0", "1", cli.MAX_SWEEP_STEPS)
+        assert len(grid) == cli.MAX_SWEEP_STEPS and grid[-1] == 1
+
     @pytest.mark.parametrize(
         "argv",
         [

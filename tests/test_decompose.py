@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -357,8 +358,10 @@ class TestPeresStrength:
 
         def shifted(lp):
             result = real_solve(lp)
+            if not lp.eq_rows:
+                return result    # the contextual-fraction LP it starts from
             x = list(result.x)
-            a, b = [j for j in range(1, len(x)) if x[j] > 0][:2]
+            a, b = [j for j in range(len(x) - 1) if x[j] > 0][:2]
             delta = min(x[a], x[b]) / 2
             x[a] -= delta
             x[b] += delta
@@ -434,11 +437,12 @@ SPARSE_MIXTURES = (
 
 class TestPeresStrengthMatchesReference:
     """The cell-table LP against the 28-cell LP it replaced: equal
-    value, equal residual box, equal NotDecomposable, and equal residual
-    terms where p is not forced to 0.  Where the parity box has mass outside
-    the box's support, p is forced to 0 and the two LPs may pivot to
-    different decompositions of the box (the relabelled seed 6 does).  The
-    relabelled seeds 1 and 4 are NotDecomposable."""
+    value, equal residual box and equal NotDecomposable.  The residual terms
+    are a vertex solution, with positive weights on affinely independent
+    vertices, but not always the reference's: the cell-table LP continues
+    from the contextual-fraction LP's optimal basis and may end on another
+    optimal vertex (on CC_PERES_TABLE and RANK3_SIGMA_PERES_TABLE it does).
+    The relabelled seeds 1 and 4 are NotDecomposable."""
 
     @staticmethod
     def assert_matches(box):
@@ -455,8 +459,11 @@ class TestPeresStrengthMatchesReference:
             return
         rebuilt = decompose._mix(terms, decompose._NC)
         assert ps.residual.reconstruct().contexts == rebuilt.contexts
-        if not parity_outside_support(box):
-            assert ps.residual.terms == terms
+        assert all(w > 0 for _, w in ps.residual.terms)
+        vertices = dict(enumerate_nc_vertices())
+        points = [oracles.box_vector(vertices[vid])
+                  for vid in ps.residual.support()]
+        assert oracles.exact_affine_rank(points) == len(points) - 1
 
     @pytest.mark.parametrize("name", PERES_FIXTURE_TABLES)
     def test_fixtures(self, name):
@@ -475,6 +482,61 @@ class TestPeresStrengthMatchesReference:
         # mass outside the support; a parity component covers it.
         assert parity_outside_support(box) == (kind != "parity")
         self.assert_matches(box)
+
+
+def recorded_peres_strength(box, monkeypatch, before=None):
+    """``(answer, programs)``: ``peres_strength(box)`` from an empty memo,
+    after ``contextual_fraction(before)`` when given, with the programs it
+    solves; the answer is None when the box is NotDecomposable."""
+    decompose._cost_lp.cache_clear()
+    if before is not None:
+        contextual_fraction(before)
+    programs = []
+
+    def recording(lp):
+        programs.append(lp)
+        return solve(lp)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(decompose, "solve", recording)
+        try:
+            return peres_strength(box), programs
+        except NotDecomposable:
+            return None, programs
+
+
+class TestPeresStrengthContinuation:
+    """The Peres-strength program continues from the contextual-fraction
+    LP's final tableau: it gets the cold program's status and value, and
+    the same answer whatever the one-table memo holds."""
+
+    @pytest.mark.parametrize("name", PERES_FIXTURE_TABLES)
+    def test_answer_does_not_depend_on_the_memo(self, name, monkeypatch):
+        box = fx.build_box(getattr(fx, name))
+        runs = [recorded_peres_strength(box, monkeypatch, before)
+                for before in (None, box, uniform_box())]
+        answers = [answer for answer, _ in runs]
+        assert answers[1] == answers[0] and answers[2] == answers[0]
+        # The memo now holds the box's own LP, which continuing left as it
+        # was.
+        assert recorded_peres_strength(box, monkeypatch, box)[0] == answers[0]
+        solves = [len(programs) for _, programs in runs]
+        # With no candidate vertex (the parity box and its relabelling) there
+        # is no contextual-fraction LP; otherwise only a memo hit spares it.
+        candidates = decompose._cell_table(box, decompose._NC).ids
+        assert solves == ([2, 1, 2] if candidates else [1, 1, 1])
+
+    @pytest.mark.parametrize("kind, seed, extra", SPARSE_MIXTURES)
+    def test_sparse_mixtures_match_cold_solves(self, kind, seed, extra,
+                                               monkeypatch):
+        rng = random.Random(f"{kind}-{seed}")
+        box = sparse_mixture(
+            rng, None if extra is None else fx.build_box(getattr(fx, extra)))
+        _, (cost, lp) = recorded_peres_strength(box, monkeypatch)
+        assert cost.le_rows and lp.start == solve(cost)
+        continued, cold = solve(lp), solve(replace(lp, start=None))
+        assert (continued.status, continued.value) == (cold.status,
+                                                       cold.value)
 
 
 NC_DIMENSION_CASES = [

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -11,7 +12,7 @@ from scipy.optimize import linprog
 import fixtures as fx
 from boxlab import decompose, exactlp
 from boxlab.boxes import noise_box, noisy_peres_box, peres_box, uniform_box
-from boxlab.errors import MalformedProgram
+from boxlab.errors import MalformedProgram, NotDecomposable
 from boxlab.exactlp import INFEASIBLE, OPTIMAL, LinearProgram, LPResult, solve
 from boxlab.scenario import mix_boxes
 from boxlab.vertices import enumerate_nc_vertices
@@ -307,9 +308,14 @@ class FractionTableau:
             self.pivot(leaving, entering)
 
 
-def fraction_solve(lp, tableaus=None):
+def fraction_solve(lp, tableaus=None, start=None, flip=frozenset()):
     """The rational simplex from a slack start: ``(LPResult, pivots)``.
-    Appends its tableau to ``tableaus`` when one is given."""
+    Appends its tableau to ``tableaus`` when one is given.  With ``start``,
+    the program ``lp.start`` solved, it first replays ``start``'s pivots on
+    the cold tableau, each slack standing for its row's artificial, and
+    returns only the pivots after them; a row whose right-hand side is then
+    negative is negated in the program, in ``flip``, and the replay redone.
+    """
     n, nslack = lp.n, len(lp.le_rows)
     m_eq = len(lp.eq_rows)
     rows = [[F(v) for v in row] + [F(0)] * nslack for row in lp.eq_rows]
@@ -323,13 +329,21 @@ def fraction_solve(lp, tableaus=None):
     artificial = [r for r in range(m) if r < m_eq or rhs[r] < 0]
     basis = [n + r - m_eq for r in range(m)]
     for r in range(m):
-        if rhs[r] < 0:
+        if (rhs[r] < 0) != (r in flip):
             rows[r], rhs[r] = [-v for v in rows[r]], -rhs[r]
         rows[r] += [F(int(a == r)) for a in artificial]
     for k, r in enumerate(artificial):
         basis[r] = width + k
     total = width + len(artificial)
     tableau = FractionTableau(rows, rhs, basis, total)
+    if start is not None:
+        _, replay = fraction_solve(start)
+        for row, col in replay:
+            tableau.pivot(row, col if col < start.n else width + col - start.n)
+        negative = {r for r in range(m) if tableau.rhs[r] < 0}
+        if negative:
+            return fraction_solve(lp, tableaus, start, flip ^ negative)
+        del tableau.pivots[:]
     if tableaus is not None:
         tableaus.append(tableau)
     if artificial:
@@ -375,12 +389,25 @@ def integer_pivots(monkeypatch):
     return pivots, negative
 
 
-def assert_same_as_reference(lp, integer_pivots):
+def assert_same_as_reference(lp, integer_pivots, start=None):
     pivots, _ = integer_pivots
     del pivots[:]
-    expected, expected_pivots = fraction_solve(lp)
+    expected, expected_pivots = fraction_solve(lp, start=start)
     assert solve(lp) == expected
     assert pivots == expected_pivots
+
+
+def assert_programs_match_reference(programs, integer_pivots):
+    """Each of ``classify_programs``'s programs against the rational
+    simplex; the Peres-strength program continues from the
+    contextual-fraction program just before it, whose pivots the reference
+    replays."""
+    for k, lp in enumerate(programs):
+        start = None
+        if lp.start is not None:
+            start = programs[k - 1]
+            assert start.le_rows and lp.start == solve(start)
+        assert_same_as_reference(lp, integer_pivots, start)
 
 
 def parity_mixture(rng, parity, low, high):
@@ -419,8 +446,10 @@ CLASSIFY_BOXES = [
 def classify_programs(box):
     """Every LP ``classify`` builds for the box: the contextual fraction,
     Peres strength and Bell-local membership (``skip_dims``), plus the NC
-    membership the dimension search adds."""
+    membership the dimension search adds.  The Peres-strength program
+    carries the contextual-fraction result it continues from."""
     programs = []
+    decompose._cost_lp.cache_clear()
 
     def recording(lp):
         programs.append(lp)
@@ -441,8 +470,9 @@ class TestIntegerTableauMatchesReference:
     def test_classify_programs(self, name, make, integer_pivots):
         programs = classify_programs(make())
         assert len(programs) == 4
-        for lp in programs:
-            assert_same_as_reference(lp, integer_pivots)
+        assert [lp.start is not None for lp in programs] == [
+            False, True, False, False]
+        assert_programs_match_reference(programs, integer_pivots)
 
     def test_relabelled_mixtures_reach_infeasible_peres_strength(self):
         for name, make in CLASSIFY_BOXES:
@@ -465,8 +495,8 @@ class TestIntegerTableauMatchesReference:
             pivot(tableau, row, col)
 
         monkeypatch.setattr(FractionTableau, "pivot", recording)
-        for lp in classify_programs(noise_box()):
-            assert_same_as_reference(lp, integer_pivots)
+        assert_programs_match_reference(classify_programs(noise_box()),
+                                        integer_pivots)
         assert reference
         assert negative == []
 
@@ -515,6 +545,7 @@ class TestIntegerTableauMatchesReference:
         monkeypatch.setattr(exactlp._Tableau, "__init__", recording_init)
         monkeypatch.setattr(exactlp._Tableau, "price", recording_price)
         monkeypatch.setattr(decompose, "solve", recording_solve)
+        decompose._cost_lp.cache_clear()
         box = parity_mixture(random.Random(0), peres_box(), F(3, 4), F(1))
         assert decompose.contextual_fraction(box).ncf < 1
         (lp,) = programs
@@ -522,6 +553,139 @@ class TestIntegerTableauMatchesReference:
         assert not lp.eq_rows and m > 0
         assert starts == [(n + m + 1, list(range(n, n + m)))]
         assert prices == [0] and pivots
+
+
+def extended_program(rng, start, columns, rows):
+    """``start``'s rows as equalities, then ``columns`` new trailing columns
+    and ``rows`` new equality rows (right-hand sides of either sign), with
+    a new objective.  Row 0 stays positive on every column, so the program
+    is bounded."""
+    n = start.n + columns
+    lows = [1] + [-2] * (len(start.le_rows) - 1)
+    eq_rows = [[*row, *(F(int(rng.integers(lo, 4))) for _ in range(columns))]
+               for row, lo in zip(start.le_rows, lows)]
+    eq_rows += [[F(int(rng.integers(-2, 4))) for _ in range(n)]
+                for _ in range(rows)]
+    eq_rhs = [*start.le_rhs,
+              *(F(int(rng.integers(-3, 6)), int(rng.integers(1, 4)))
+                for _ in range(rows))]
+    return LinearProgram(n=n, objective=[F(int(rng.integers(-3, 4)))
+                                         for _ in range(n)],
+                         maximize=bool(rng.integers(0, 2)), eq_rows=eq_rows,
+                         eq_rhs=eq_rhs)
+
+
+def slack_start_program(rng):
+    """A bounded program of ``<=`` rows with nonnegative right-hand sides,
+    some of them fractional; row 0 is positive on every column."""
+    n, m = int(rng.integers(2, 6)), int(rng.integers(1, 5))
+    rows = [[F(int(rng.integers(1, 4))) for _ in range(n)]]
+    rows += [[F(int(rng.integers(-2, 4))) for _ in range(n)]
+             for _ in range(m - 1)]
+    rhs = [F(int(rng.integers(0, 7)), int(rng.integers(1, 4)))
+           for _ in range(m)]
+    return LinearProgram(n=n, objective=[F(int(rng.integers(-2, 4)))
+                                         for _ in range(n)],
+                         maximize=True, le_rows=rows, le_rhs=rhs)
+
+
+def peres_programs(box):
+    """The contextual-fraction and Peres-strength programs a lone
+    ``peres_strength(box)`` solves, from an empty memo."""
+    programs = []
+
+    def recording(lp):
+        programs.append(lp)
+        return solve(lp)
+
+    decompose._cost_lp.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decompose, "solve", recording)
+        try:
+            decompose.peres_strength(box)
+        except NotDecomposable:
+            pass
+    return programs
+
+
+class TestContinuation:
+    """A program solved from the final tableau of the program of ``<=``
+    rows it extends: the same pivots as the rational simplex after it
+    replays the start's, and the same status and value as a cold solve."""
+
+    def test_random_extensions(self, integer_pivots):
+        rng = np.random.default_rng(20261019)
+        statuses = Counter()
+        for _ in range(60):
+            start = slack_start_program(rng)
+            lp = extended_program(rng, start, int(rng.integers(0, 3)),
+                                  int(rng.integers(0, 3)))
+            lp.start = solve(start)
+            assert_same_as_reference(lp, integer_pivots, start)
+            continued, cold = solve(lp), solve(replace(lp, start=None))
+            assert (continued.status, continued.value) == (cold.status,
+                                                           cold.value)
+            statuses[cold.status] += 1
+        assert statuses[OPTIMAL] and statuses[INFEASIBLE], statuses
+
+    def test_parity_mixtures_match_cold_solves(self):
+        # Eight strata of the parity weight; in strata 5 and 7 the box mixes
+        # in the relabelled parity box and the program is infeasible.
+        statuses = Counter()
+        for seed in range(40):
+            low = F(seed % 8, 8)
+            parity = RELABELLED if seed % 8 in (5, 7) else peres_box()
+            box = parity_mixture(random.Random(seed), parity, low,
+                                 low + F(1, 8))
+            cost, lp = peres_programs(box)
+            assert lp.start is not None and lp.start == solve(cost)
+            continued, cold = solve(lp), solve(replace(lp, start=None))
+            assert (continued.status, continued.value) == (cold.status,
+                                                           cold.value)
+            statuses[cold.status] += 1
+        assert statuses == {OPTIMAL: 30, INFEASIBLE: 10}, statuses
+
+    START = LinearProgram(n=2, objective=[F(1), F(1)], maximize=True,
+                          le_rows=[[F(1), F(1)], [F(1), F(0)]],
+                          le_rhs=[F(2), F(1)])
+    EXTENDED = LinearProgram(n=3, objective=[F(0), F(1), F(2)],
+                             maximize=True,
+                             eq_rows=[[F(1), F(1), F(1)], [F(1), F(0), F(0)],
+                                      [F(0), F(1), F(3)]],
+                             eq_rhs=[F(2), F(1), F(3, 2)])
+
+    def test_small_extension(self):
+        lp = replace(self.EXTENDED, start=solve(self.START))
+        assert solve(lp) == solve(self.EXTENDED)
+        assert solve(lp).value == F(5, 4)
+
+    @pytest.mark.parametrize("change, start, message", [
+        ({"eq_rows": [[F(1), F(2), F(1)], [F(1), F(0), F(0)],
+                      [F(0), F(1), F(3)]]}, START, "extend"),
+        ({"eq_rhs": [F(3), F(1), F(3, 2)]}, START, "extend"),
+        ({"eq_rows": [[F(1), F(1), F(1)]], "eq_rhs": [F(2)]}, START,
+         "extend"),
+        ({"eq_rows": [[F(1), F(1), F(1, 2)], [F(1), F(0), F(0)],
+                      [F(0), F(1), F(3)]]}, START, "extend"),
+        ({"le_rows": [[F(1), F(0), F(0)]], "le_rhs": [F(1)]}, START,
+         "equality rows"),
+        ({}, replace(START, eq_rows=[[F(1), F(0)]], eq_rhs=[F(1)]),
+         "nonnegative"),
+        ({}, replace(START, le_rhs=[F(2), F(-1)]), "nonnegative"),
+    ], ids=["row", "rhs", "fewer-rows", "scale", "le-row", "start-eq-row",
+            "start-negative-rhs"])
+    def test_programs_that_do_not_extend_the_start(self, change, start,
+                                                   message):
+        result = solve(start)
+        lp = replace(self.EXTENDED, **change, start=result)
+        with pytest.raises(MalformedProgram, match=message):
+            solve(lp)
+
+    def test_a_result_built_by_hand_has_no_tableau(self):
+        by_hand = LPResult(OPTIMAL, F(2), (F(1), F(1)))
+        lp = replace(self.EXTENDED, start=by_hand)
+        with pytest.raises(MalformedProgram, match="nonnegative"):
+            solve(lp)
 
 
 class TestInfeasibilityCertificate:
@@ -551,7 +715,8 @@ class TestInfeasibilityCertificate:
         box = parity_mixture(random.Random(1), RELABELLED, F(7, 8), F(1))
         infeasible = [lp for lp in classify_programs(box)
                       if solve(lp).status == INFEASIBLE]
-        assert len(infeasible) == 2
+        # The Peres-strength program is continued, the membership one cold.
+        assert [lp.start is not None for lp in infeasible] == [True, False]
         for lp in infeasible:
             self.check_perturbations(*self.certificate(lp, monkeypatch))
 

@@ -323,6 +323,7 @@ class TestClassifyCallPaths:
             monkeypatch.setattr(module, name, counted)
 
         monkeypatch.setattr(decompose, "_dimension_cache", {})
+        decompose._cost_lp.cache_clear()
         count(decompose, "solve")
         count(decompose, "nc_membership")
         count(witnesses, "min_nc_dimension", searching)
