@@ -279,7 +279,8 @@ def solve(lp: LinearProgram) -> LPResult:
     """
     objective, eq_rows, eq_rhs, le_rows, le_rhs = _validated(lp)
     if lp.start is not None and le_rows:
-        raise MalformedProgram("a continued program has only equality rows")
+        raise MalformedProgram(
+            "a continued program must have only equality rows")
 
     # --- standard form: minimize, equality rows, slack per inequality -----
     n, m_eq, nslack = lp.n, len(eq_rows), len(le_rows)
