@@ -14,6 +14,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .errors import ParameterOutOfRange
 from .scenario import Box, as_rational, mix_boxes, validate_box
@@ -21,8 +22,10 @@ from .scenario import Box, as_rational, mix_boxes, validate_box
 _EVEN_PARITY_8 = ("1/4", "0", "0", "1/4", "0", "1/4", "1/4", "0")
 
 
+@cache
 def peres_box() -> Box:
-    """The maximally contextual box (inequality value 5)."""
+    """The maximally contextual box (inequality value 5), built once: a
+    :class:`~boxlab.scenario.Box` is immutable."""
     return validate_box(
         [
             ("1/2", "0", "0", "1/2"),
@@ -35,8 +38,9 @@ def peres_box() -> Box:
     )
 
 
+@cache
 def noise_box() -> Box:
-    """The noncontextual noise box (inequality value 2)."""
+    """The noncontextual noise box (inequality value 2), built once."""
     quarter = ("1/4", "1/4", "1/4", "1/4")
     return validate_box(
         [quarter, _EVEN_PARITY_8, _EVEN_PARITY_8, quarter, quarter],

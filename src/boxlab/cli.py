@@ -48,6 +48,7 @@ from .quantum import (
 )
 from .scenario import (
     BELL_SETTINGS,
+    _checked_label,
     as_rational,
     box_from_json_dict,
     box_to_json_dict,
@@ -173,20 +174,21 @@ def _csv_text(columns, rows) -> str:
 def cmd_gen(args) -> int:
     box = _source_box(args, args.W)
     if args.label is not None:
-        box = box.with_label(args.label)
+        box = box.with_label(_checked_label(args.label))
     _write_text(_canonical_json(box_to_json_dict(box)), args.output)
     return 0
 
 
 def _load_box(path: str):
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if path == "-":
+            # Bytes, so the decode is strict UTF-8 whatever stdin's encoding.
+            text = sys.stdin.buffer.read().decode("utf-8")
+        else:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise BoxParseError(f"cannot read box file: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise BoxParseError(f"cannot read box file: {exc}") from exc
     try:
         data = json.loads(text)
     # JSONDecodeError, an over-long int literal, or nesting too deep to parse.

@@ -15,8 +15,11 @@ Everything here is exact-rational.  The questions answered:
 
 Both vertex sets go through one engine: a small private record per set says
 how to enumerate its vertices and read a target's distributions, and the cell
-table, membership LP, subset search, decomposition check and mix are written
-once against it; every LP here is built from the cell table's 0/1 cover rows.
+table, contextual-fraction LP, subset search, decomposition check and mix are
+written once against it; every LP here is built from the cell table's 0/1
+cover rows.  Membership is no LP of its own: a target is in the polytope iff
+its contextual-fraction LP has optimum 1, and the LP's checked dual proves
+an optimum below 1.
 
 Two hidden-variable semantics appear, both documented where used: the
 minimal-dimension searches count deterministic vertices (the reading under
@@ -308,33 +311,39 @@ def _cover_rows(table: _CellTable) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 def _membership(target, vs: _VertexSet) -> tuple[bool, Decomposition | None]:
-    """Exact LP for {q >= 0, per-cell sums = rhs, sum_j q_j = 1} over the
-    support-filtered vertices (objective 0), with a witnessing decomposition."""
+    """Membership read from the contextual-fraction LP on the target's cell
+    table, with a witnessing decomposition.
+
+    Each candidate puts mass 1 on one support cell per distribution, and the
+    target's support cells sum to the number of distributions, so summing
+    the rows of ``A q <= rhs`` gives ``sum(q) <= 1``: the optimum is at most
+    1, and at 1 every row is tight, so ``q`` is a decomposition.  Below 1
+    the LP's checked dual ``y >= 0`` proves non-membership: every candidate
+    scores ``y . a_j >= 1``, so every convex mixture of them does, and the
+    target scores ``y . rhs < 1``.
+    """
     table = _cell_table(target, vs)
-    m = len(table.ids)
-    if m == 0:
+    result = _cost_lp(table)
+    if result.value != 1:
         return (False, None)
-    result = solve(LinearProgram(n=m, objective=[_ZERO] * m, maximize=False,
-                                 eq_rows=[*_cover_rows(table), [1] * m],
-                                 eq_rhs=[*table.rhs, _ONE]))
-    if result.status != OPTIMAL:
-        return (False, None)
-    terms = [(table.ids[j], result.x[j]) for j in range(m) if result.x[j] > 0]
+    terms = [(vid, q) for vid, q in zip(table.ids, result.x) if q > 0]
     return (True, _decomposition(terms, target, vs))
 
 
 def nc_membership(box: Box) -> tuple[bool, Decomposition | None]:
     """Whether the box is a convex mixture of the 64 deterministic vertices.
 
-    Decided by exact LP feasibility; on success returns one witnessing
-    decomposition (deterministic: fixed pivot rule and candidate order).
+    True iff the contextual-fraction LP's optimum is 1; its optimal mixture
+    is then the returned decomposition (deterministic: fixed pivot rule and
+    candidate order), and below 1 its checked dual proves non-membership.
     """
     return _membership(box, _NC)
 
 
 def bell_local_membership(marginal: BellMarginal
                           ) -> tuple[bool, Decomposition | None]:
-    """Whether the marginal mixes from the 16 local deterministic boxes."""
+    """Whether the marginal mixes from the 16 local deterministic boxes,
+    decided as in :func:`nc_membership`."""
     return _membership(marginal, _LHV)
 
 
@@ -356,15 +365,9 @@ def contextual_fraction(box: Box) -> ContextualFraction:
     below one, the rescaled remainder is itself a valid box (checked).
     """
     table = _cell_table(box, _NC)
-    m = len(table.ids)
-    if m == 0:
-        ncf = _ZERO
-        witness: tuple = ()
-    else:
-        result = _cost_lp(table)
-        ncf = result.value
-        witness = tuple((table.ids[j], result.x[j]) for j in range(m)
-                        if result.x[j] > 0)
+    result = _cost_lp(table)
+    ncf = result.value
+    witness = tuple((vid, q) for vid, q in zip(table.ids, result.x) if q > 0)
     cost = max(_ZERO, 1 - ncf)
     if ncf < 1:
         _assert_valid_remainder(box, witness, ncf)
@@ -373,10 +376,11 @@ def contextual_fraction(box: Box) -> ContextualFraction:
 
 @lru_cache(maxsize=1)
 def _cost_lp(table: _CellTable) -> LPResult:
-    """The contextual-fraction LP on a table with candidates: the largest
-    vertex mixture under the box on its support cells.  A memo of the last
-    table only, so :func:`peres_strength` continues from the LP that
-    :func:`contextual_fraction` just solved on the same box."""
+    """The contextual-fraction LP on a table: the largest vertex mixture
+    under the target on its support cells.  A memo of the last table only,
+    so :func:`peres_strength` continues from the LP that
+    :func:`contextual_fraction` just solved on the same box, and the
+    membership test of a box or marginal reads the LP just solved on it."""
     m = len(table.ids)
     result = solve(LinearProgram(n=m, objective=[_ONE] * m, maximize=True,
                                  le_rows=_cover_rows(table),
@@ -417,8 +421,7 @@ def peres_strength(box: Box) -> PeresStrength:
     weights, so it is solved as a continuation of that LP's final tableau
     (see :func:`~boxlab.exactlp.solve`): the LP is solved here first when
     :func:`contextual_fraction` has not just solved it on the same box, and
-    the answer does not depend on which.  With no candidate vertex (the
-    parity box itself) there is no such LP and the program is solved cold.
+    the answer does not depend on which.
     """
     parity = peres_box()
     # Support-filtered candidates are exact here too: on cells where the box
@@ -436,7 +439,7 @@ def peres_strength(box: Box) -> PeresStrength:
     result = solve(LinearProgram(
         n=m + 1, objective=[0] * m + [s], maximize=True,
         eq_rows=[*rows, [1] * m + [s]], eq_rhs=[*table.rhs, _ONE],
-        start=_cost_lp(table) if m else None))
+        start=_cost_lp(table)))
     if result.status != OPTIMAL:
         raise NotDecomposable(
             "box is not a mixture of the parity box with a noncontextual box")

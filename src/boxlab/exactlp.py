@@ -61,14 +61,17 @@ basis).  Everything after that, the Farkas vector included, is the cold
 path's.
 
 Every returned answer is re-verified against the original program before it
-is handed back: optimal solutions are re-checked constraint by constraint,
-and infeasibility by a Farkas certificate read from the final phase-1
-reduced costs: ``y_r = d - cost[art_r]`` for a row that started on an
-artificial, ``y_r = -cost[slack_r]`` for one that started on its slack.  It
-is checked against the standard-form rows (``y . a_j <= 0`` for every
-column, ``y . b > 0``).  Every variable is nonnegative.  No program this
-package builds has an unbounded objective, so one is reported as
-:class:`~boxlab.errors.MalformedProgram` rather than as a status.
+is handed back.  An optimal solution is re-checked constraint by
+constraint.  Row r started on the unit column ``j``, so ``d`` times its
+dual is ``d*c[j] - cost[j]`` in the final tableau, and one checker
+(:func:`_verify_dual`) tests that vector against the standard-form rows.
+From phase 1 it is a Farkas vector, proving infeasibility; from a phase 2
+with no phase 1 (every row started on its slack) it proves the optimum, so
+the contextual-fraction LP and every membership verdict read from it (see
+:mod:`.decompose`) are certified.  An optimum that needed phase 1 rests on
+the simplex and the constraint check.  Every variable is nonnegative.  No
+program this package builds has an unbounded objective, so one is reported
+as :class:`~boxlab.errors.MalformedProgram` rather than as a status.
 """
 
 from __future__ import annotations
@@ -84,7 +87,6 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass
@@ -268,7 +270,8 @@ def solve(lp: LinearProgram) -> LPResult:
     a positive phase-1 optimum means infeasibility, proved by a checked
     Farkas certificate.  Phase 2 optimizes the requested objective.  The
     returned vertex solution is re-verified against the original
-    constraints.
+    constraints, and when there was no phase 1 its optimality is proved by
+    a checked dual certificate.
 
     With ``lp.start``, the result of an earlier ``solve`` of a program of
     ``<=`` rows with nonnegative right-hand sides, phase 1 starts from that
@@ -284,11 +287,11 @@ def solve(lp: LinearProgram) -> LPResult:
 
     # --- standard form: minimize, equality rows, slack per inequality -----
     n, m_eq, nslack = lp.n, len(eq_rows), len(le_rows)
-    rows = [row + [_ZERO] * nslack for row in eq_rows]
+    rows = [row + [0] * nslack for row in eq_rows]
     rhs = list(eq_rhs)
     for k, row in enumerate(le_rows):
-        slack = [_ZERO] * nslack
-        slack[k] = _ONE
+        slack = [0] * nslack
+        slack[k] = 1
         rows.append(row + slack)
         rhs.append(le_rhs[k])
     width = n + nslack
@@ -327,13 +330,11 @@ def solve(lp: LinearProgram) -> LPResult:
         # Bounded below by 0, so this never raises.
         tableau.run_simplex()
         if tableau.cost[-1] != 0:
-            # Row r starts on the unit column j = initial[r], of cost c[j] and
-            # reduced cost cost[j] / d, so d times the phase-1 dual of row r
-            # is d*c[j] - cost[j]: d - cost[art_r] or -cost[slack_r].  s > 0,
-            # so it certifies the unscaled rows too.  A continued tableau is
-            # the cold one after more pivots, so this holds there too.
-            y = [tableau.d * c[j] - tableau.cost[j] for j in initial]
-            _verify_infeasibility(rows, rhs, y)
+            # The structural and slack columns cost 0 in phase 1.  A
+            # continued tableau is the cold one after more pivots, so its
+            # dual reads the same way.
+            _verify_dual(rows, rhs, _dual(tableau, c, initial), s,
+                         [0] * width)
             return LPResult(INFEASIBLE)
 
         # Drive remaining zero-level artificials out of the basis.
@@ -355,19 +356,31 @@ def solve(lp: LinearProgram) -> LPResult:
 
     # --- phase 2 ----------------------------------------------------------
     sign = -1 if lp.maximize else 1
-    _, c = _integers([sign * v for v in objective])
-    tableau.price(c + [0] * (width + 1 - n))
+    u, c = _integers([sign * v for v in objective])
+    c += [0] * (width + 1 - n)
+    tableau.price(c)
     tableau.run_simplex()
 
-    scale = tableau.d * t
+    d = tableau.d
     x = [_ZERO] * n
     for row, col in zip(tableau.rows, tableau.basis):
         if col < n:
-            x[col] = Fraction(row[-1], scale)
+            x[col] = Fraction(row[-1], d * t)
     value = sum((objective[i] * x[i] for i in range(n)), _ZERO)
     _verify_solution(objective, eq_rows, eq_rhs, le_rows, le_rhs, x, value)
-    final = None if artificial else _Final(rows, rhs, t, tableau)
-    return LPResult(OPTIMAL, value, tuple(x), final)
+    if artificial:
+        return LPResult(OPTIMAL, value, tuple(x))
+    # The minimized objective is c . x / u = sign * value.
+    _verify_dual(rows, rhs, _dual(tableau, c, initial), s,
+                 [d * v for v in c[:width]], d * u * sign * value)
+    return LPResult(OPTIMAL, value, tuple(x), _Final(rows, rhs, t, tableau))
+
+
+def _dual(tableau: _Tableau, c: list[int], initial: list[int]) -> list[int]:
+    """``d`` times the dual, on the scaled matrix, for the integer costs
+    ``c``: row r started on the unit column ``j = initial[r]``, of reduced
+    cost ``cost[j] / d``, so its dual is ``c[j] - cost[j] / d``."""
+    return [tableau.d * c[j] - tableau.cost[j] for j in initial]
 
 
 def _continued(final: _Final | None, rows: list[list[Fraction]],
@@ -419,20 +432,33 @@ def _continued(final: _Final | None, rows: list[list[Fraction]],
                     old.d)
 
 
-def _verify_infeasibility(rows: list[list[Fraction]], rhs: list[Fraction],
-                          y: list[int]) -> None:
-    """Check the Farkas certificate ``y`` for ``rows x = rhs, x >= 0``.
+def _verify_dual(rows: list[list[Fraction]], rhs: list[Fraction],
+                 y: list[int], s: int, costs: list[int],
+                 optimum: Fraction | None = None) -> None:
+    """Check the dual certificate ``y`` for ``rows x = rhs, x >= 0``.
 
-    ``y . a_j <= 0`` for every column and ``y . rhs > 0`` leave no
-    nonnegative solution: it would give ``0 >= y . A x = y . rhs > 0``.
+    ``s * y . a_j <= costs[j]`` on every column makes ``s * y . rhs`` a lower
+    bound on ``costs . x`` for every feasible x: ``costs . x >= s * y . A x =
+    s * y . rhs``.  With ``optimum``, the value of ``costs . x`` at a feasible
+    x, the bound must equal it, which proves x minimal.  Without one,
+    ``costs`` is 0 and the bound must exceed 0, which leaves no feasible x
+    (Farkas).
     """
-    for j in range(len(rows[0]) if rows else 0):
-        if sum((yr * row[j] for yr, row in zip(y, rows) if yr and row[j]),
-               _ZERO) > 0:
-            raise AssertionError(
-                f"infeasibility certificate fails on column {j}")
-    if sum((yr * b for yr, b in zip(y, rhs)), _ZERO) <= 0:
+    # y . A, summed over the rows where y is nonzero (most are 0).
+    ya = [0] * len(costs)
+    for yr, row in zip(y, rows):
+        if yr:
+            for j, v in enumerate(row):
+                if v:
+                    ya[j] += yr * v
+    for j, cost in enumerate(costs):
+        if s * ya[j] > cost:
+            raise AssertionError(f"dual certificate fails on column {j}")
+    bound = s * sum(yr * b for yr, b in zip(y, rhs))
+    if optimum is None and bound <= 0:
         raise AssertionError("infeasibility certificate has y.b <= 0")
+    if optimum is not None and bound != optimum:
+        raise AssertionError("optimality certificate has y.b != optimum")
 
 
 def _verify_solution(objective, eq_rows, eq_rhs, le_rows, le_rhs,

@@ -414,7 +414,19 @@ def box_from_json_dict(data) -> Box:
     unknown = set(contexts) - set(CONTEXT_IDS)
     if unknown:
         raise BoxParseError(f"unknown context keys: {sorted(unknown)}")
-    label = data.get("label")
-    if label is not None and not isinstance(label, str):
+    return validate_box(contexts, label=_checked_label(data.get("label")))
+
+
+def _checked_label(label):
+    """``label`` when it is None or a string of valid Unicode text, which
+    every output can encode; a lone surrogate, such as a command-line byte
+    that is not UTF-8, is not."""
+    if label is None:
+        return None
+    if not isinstance(label, str):
         raise BoxParseError("'label' must be a string")
-    return validate_box(contexts, label=label)
+    try:
+        label.encode("utf-8")
+    except UnicodeEncodeError:
+        raise BoxParseError("'label' must be valid Unicode text") from None
+    return label

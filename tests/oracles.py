@@ -71,6 +71,27 @@ def _exactly_feasible(cols, target) -> bool:
     return bool(res.success)
 
 
+def lp_member(columns, target) -> bool:
+    """Float LP: is the target a convex combination of the columns?
+
+    ``columns`` is a sequence of ``(key, vector)`` pairs.  HiGHS decides
+    feasibility within its default tolerance, so targets should be members
+    or miss the hull by far more than that.
+    """
+    n = len(target)
+    res = linprog(
+        c=[0.0] * len(columns),
+        A_eq=np.array([[float(col[i]) for _, col in columns]
+                       for i in range(n)] + [[1.0] * len(columns)]),
+        b_eq=np.array([float(t) for t in target] + [1.0]),
+        bounds=[(0, None)] * len(columns),
+        method="highs",
+    )
+    if res.status not in (0, 2):
+        raise AssertionError(f"oracle LP ended with status {res.status}")
+    return res.status == 0
+
+
 def refute_all_supports_below(columns, target, max_size) -> tuple[int, int]:
     """Assert no support of size <= max_size reproduces the target.
 

@@ -152,6 +152,15 @@ class TestGen:
         assert_one_error_line(code, out, err)
         assert err == f"error: {flag} requires --state\n"
 
+    def test_label_that_is_not_unicode_text_exits_2(self, tmp_path, capsys):
+        # A command-line byte that is not UTF-8 arrives as a lone surrogate.
+        path = tmp_path / "box.json"
+        code, out, err = run_cli(capsys, "gen", "--family", "noise",
+                                 "--label", "noise\udcff", "-o", str(path))
+        assert_one_error_line(code, out, err)
+        assert "valid Unicode text" in err
+        assert not path.exists()
+
     def test_rationalization_failure_exits_3(self, capsys):
         code, out, err = run_cli(
             capsys, "gen", "--state", "werner", "--observables", "peres",
@@ -213,7 +222,8 @@ class TestAnalyze:
         import io
 
         text = json.dumps(box_to_json_dict(fx.build_box(fx.CC_PERES_TABLE)))
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        monkeypatch.setattr("sys.stdin",
+                            io.TextIOWrapper(io.BytesIO(text.encode())))
         code, out, _ = run_cli(capsys, "analyze", "-", "--skip-dims")
         assert code == 0
         assert json.loads(out)["report"]["inequality_lhs"] == "3"
@@ -335,6 +345,32 @@ class TestAnalyze:
         code, out, err = run_cli(capsys, "analyze", str(path))
         assert_one_error_line(code, out, err)
         assert "cannot read box file" in err
+
+    def test_non_utf8_stdin_exits_2(self, tmp_path):
+        # stdin is read as bytes and decoded as strict UTF-8, as a file is,
+        # whatever encoding the interpreter gives stdin.
+        package_root = str(Path(boxlab.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-m", "boxlab.cli", "analyze", "-"],
+            input=b"\xff", capture_output=True, timeout=120, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": package_root,
+                 "PYTHONIOENCODING": "utf-8:strict"})
+        out, err = result.stdout.decode(), result.stderr.decode()
+        assert_one_error_line(result.returncode, out, err)
+        assert "cannot read box file" in err
+
+    def test_label_that_is_not_unicode_text_exits_2(self, tmp_path, capsys):
+        # A lone surrogate, as a JSON escape admits, cannot be written out.
+        data = box_to_json_dict(fx.build_box(fx.NOISE_TABLE))
+        data["label"] = "\udcff"
+        path = tmp_path / "surrogate.json"
+        path.write_text(json.dumps(data))
+        out_path = tmp_path / "out.csv"
+        code, out, err = run_cli(capsys, "analyze", str(path), "--format",
+                                 "csv", "-o", str(out_path))
+        assert_one_error_line(code, out, err)
+        assert "valid Unicode text" in err
+        assert not out_path.exists()
 
     def test_deeply_nested_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "nested.json"

@@ -435,6 +435,62 @@ SPARSE_MIXTURES = (
     + [("relabelled", seed, "PERES_RELABELLED_TABLE") for seed in range(8)])
 
 
+def marginal_mixture(rng):
+    """A few seeded local deterministic boxes and the PR marginal, with
+    random positive weights."""
+    parts = [m.dists for _, m in rng.sample(enumerate_local_vertices(),
+                                            rng.randint(1, 4))]
+    parts.append(validate_bell_marginal(PR_MARGINAL_ROWS).dists)
+    weights = [Fraction(rng.randint(1, 9)) for _ in parts]
+    total = sum(weights)
+    return validate_bell_marginal(
+        [[sum(w * part[i][j] for w, part in zip(weights, parts)) / total
+          for j in range(4)] for i in range(4)])
+
+
+class TestMembershipMatchesOracle:
+    """Membership, read from the contextual-fraction LP, against the scipy
+    LP over every vertex, and against the contextual fraction itself."""
+
+    @pytest.mark.parametrize("name", PERES_FIXTURE_TABLES)
+    def test_member_iff_cost_is_zero(self, name):
+        box = fx.build_box(getattr(fx, name))
+        assert nc_membership(box)[0] == (contextual_fraction(box).cost == 0)
+
+    # W_GRID holds the boundary W = 1/3; these sit just inside and outside.
+    @pytest.mark.parametrize("w", [*W_GRID, "99/300", "101/300"])
+    def test_noisy_family(self, w):
+        self.assert_matches(noisy_peres_box(w))
+
+    @pytest.mark.parametrize("kind, seed, extra", SPARSE_MIXTURES)
+    def test_sparse_mixtures(self, kind, seed, extra):
+        rng = random.Random(f"{kind}-{seed}")
+        self.assert_matches(sparse_mixture(
+            rng, None if extra is None else fx.build_box(getattr(fx, extra))))
+
+    def test_pr_marginal_and_its_mixtures(self):
+        marginals = [validate_bell_marginal(PR_MARGINAL_ROWS)]
+        marginals += [marginal_mixture(random.Random(seed))
+                      for seed in range(12)]
+        verdicts = [self.assert_local_matches(m) for m in marginals]
+        assert verdicts[0] is False and set(verdicts[1:]) == {True, False}
+
+    def assert_matches(self, box):
+        inside, dec = nc_membership(box)
+        assert inside == oracles.lp_member(nc_columns(),
+                                           oracles.box_vector(box))
+        assert (dec is not None) == inside
+        self.assert_local_matches(bell_marginal(box))
+
+    @staticmethod
+    def assert_local_matches(marginal):
+        local, dec = bell_local_membership(marginal)
+        assert local == oracles.lp_member(lhv_columns(),
+                                          oracles.marginal_vector(marginal))
+        assert (dec is not None) == local
+        return local
+
+
 class TestPeresStrengthMatchesReference:
     """The cell-table LP against the 28-cell LP it replaced: equal
     value, equal residual box and equal NotDecomposable.  The residual terms
@@ -520,11 +576,9 @@ class TestPeresStrengthContinuation:
         # The memo now holds the box's own LP, which continuing left as it
         # was.
         assert recorded_peres_strength(box, monkeypatch, box)[0] == answers[0]
-        solves = [len(programs) for _, programs in runs]
-        # With no candidate vertex (the parity box and its relabelling) there
-        # is no contextual-fraction LP; otherwise only a memo hit spares it.
-        candidates = decompose._cell_table(box, decompose._NC).ids
-        assert solves == ([2, 1, 2] if candidates else [1, 1, 1])
+        # Only a memo hit spares the contextual-fraction LP, also on a table
+        # with no candidate vertex (the parity box and its relabelling).
+        assert [len(programs) for _, programs in runs] == [2, 1, 2]
 
     @pytest.mark.parametrize("kind, seed, extra", SPARSE_MIXTURES)
     def test_sparse_mixtures_match_cold_solves(self, kind, seed, extra,

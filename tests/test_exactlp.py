@@ -446,8 +446,10 @@ CLASSIFY_BOXES = [
 def classify_programs(box):
     """Every LP ``classify`` builds for the box: the contextual fraction,
     Peres strength and Bell-local membership (``skip_dims``), plus the NC
-    membership the dimension search adds.  The Peres-strength program
-    carries the contextual-fraction result it continues from."""
+    membership the dimension search adds, which solves the
+    contextual-fraction LP again because the memo now holds the
+    marginal's.  The Peres-strength program carries the
+    contextual-fraction result it continues from."""
     programs = []
     decompose._cost_lp.cache_clear()
 
@@ -688,35 +690,57 @@ class TestContinuation:
             solve(lp)
 
 
+def dual_checks(lp, monkeypatch):
+    """``(result, checks)``: ``solve(lp)`` and the arguments ``(rows, rhs,
+    y, s, costs, optimum)`` of every dual check it made."""
+    seen = []
+    check = exactlp._verify_dual
+
+    def recording(rows, rhs, y, s, costs, optimum=None):
+        seen.append((rows, rhs, y, s, costs, optimum))
+        check(rows, rhs, y, s, costs, optimum)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(exactlp, "_verify_dual", recording)
+        result = solve(lp)
+    return result, seen
+
+
+def dual_bound(rows, rhs, y, s, costs):
+    """``s * y . rhs`` when ``s * y . a_j <= costs[j]`` on every column,
+    else None."""
+    for j, cost in enumerate(costs):
+        if s * sum(a * row[j] for a, row in zip(y, rows)) > cost:
+            return None
+    return s * sum(a * b for a, b in zip(y, rhs))
+
+
 class TestInfeasibilityCertificate:
     def certificate(self, lp, monkeypatch):
-        """``(rows, rhs, y)`` handed to the Farkas check by ``solve``."""
-        seen = []
-        check = exactlp._verify_infeasibility
-
-        def recording(rows, rhs, y):
-            seen.append((rows, rhs, y))
-            check(rows, rhs, y)
-
-        with monkeypatch.context() as mp:
-            mp.setattr(exactlp, "_verify_infeasibility", recording)
-            assert solve(lp).status == INFEASIBLE
-        (found,) = seen
-        return found
+        """``(rows, rhs, y, s)`` handed to the Farkas check by ``solve``."""
+        result, seen = dual_checks(lp, monkeypatch)
+        assert result.status == INFEASIBLE
+        ((rows, rhs, y, s, costs, optimum),) = seen
+        assert optimum is None and costs == [0] * len(rows[0])
+        return rows, rhs, y, s
 
     @staticmethod
-    def holds(rows, rhs, y):
-        return (all(sum(a * row[j] for a, row in zip(y, rows)) <= 0
-                    for j in range(len(rows[0])))
-                and sum(a * b for a, b in zip(y, rhs)) > 0)
+    def verify(rows, rhs, y, s):
+        exactlp._verify_dual(rows, rhs, y, s, [0] * len(rows[0]))
+
+    @staticmethod
+    def holds(rows, rhs, y, s):
+        bound = dual_bound(rows, rhs, y, s, [0] * len(rows[0]))
+        return bound is not None and bound > 0
 
     def test_perturbed_certificates_are_rejected(self, monkeypatch):
-        # The Peres-strength and NC-membership LPs of a contextual box.
+        # Of the LPs of a contextual box, only the Peres-strength one is
+        # infeasible: membership reads the contextual-fraction LP, which
+        # always has the solution 0.
         box = parity_mixture(random.Random(1), RELABELLED, F(7, 8), F(1))
         infeasible = [lp for lp in classify_programs(box)
                       if solve(lp).status == INFEASIBLE]
-        # The Peres-strength program is continued, the membership one cold.
-        assert [lp.start is not None for lp in infeasible] == [True, False]
+        assert [lp.start is not None for lp in infeasible] == [True]
         for lp in infeasible:
             self.check_perturbations(*self.certificate(lp, monkeypatch))
 
@@ -730,37 +754,120 @@ class TestInfeasibilityCertificate:
             le_rows=[[F(1), F(0), F(0)], [F(0), F(1), F(0)],
                      [F(0), F(0), F(1)], [F(1), F(-1), F(0)]],
             le_rhs=[F(1), F(1), F(1), F(2)])
-        rows, rhs, y = self.certificate(lp, monkeypatch)
+        rows, rhs, y, s = self.certificate(lp, monkeypatch)
         assert y[0] > 0 and all(v < 0 for v in y[1:4])
-        self.check_perturbations(rows, rhs, y)
+        self.check_perturbations(rows, rhs, y, s)
         with pytest.raises(AssertionError, match="certificate"):
-            exactlp._verify_infeasibility(rows, rhs, [-v for v in y])
+            self.verify(rows, rhs, [-v for v in y], s)
 
-    def check_perturbations(self, rows, rhs, y):
-        assert self.holds(rows, rhs, y)
+    def check_perturbations(self, rows, rhs, y, s):
+        assert self.holds(rows, rhs, y, s)
         rng = random.Random(20261018)
         rejected = 0
         for _ in range(40):
             bad = list(y)
             for r in rng.sample(range(len(y)), 3):
                 bad[r] += rng.randint(-2, 2) * max(abs(v) for v in y)
-            if self.holds(rows, rhs, bad):
-                exactlp._verify_infeasibility(rows, rhs, bad)
+            if self.holds(rows, rhs, bad, s):
+                self.verify(rows, rhs, bad, s)
                 continue
             rejected += 1
             with pytest.raises(AssertionError, match="certificate"):
-                exactlp._verify_infeasibility(rows, rhs, bad)
+                self.verify(rows, rhs, bad, s)
         assert rejected >= 30
         with pytest.raises(AssertionError, match="y.b"):
-            exactlp._verify_infeasibility(rows, rhs, [0] * len(y))
+            self.verify(rows, rhs, [0] * len(y), s)
 
     def test_negated_certificate_is_rejected(self, monkeypatch):
         lp = LinearProgram(n=1, objective=[F(1)], maximize=True,
                            le_rows=[[F(1)]], le_rhs=[F(-1)])
-        rows, rhs, y = self.certificate(lp, monkeypatch)
-        assert self.holds(rows, rhs, y)
+        rows, rhs, y, s = self.certificate(lp, monkeypatch)
+        assert self.holds(rows, rhs, y, s)
         with pytest.raises(AssertionError, match="column 0"):
-            exactlp._verify_infeasibility(rows, rhs, [-v for v in y])
+            self.verify(rows, rhs, [-v for v in y], s)
+
+
+def random_le_program(rng):
+    """A bounded program of ``<=`` rows with nonnegative right-hand sides and
+    fractional entries: the first row has a positive entry in every column,
+    and the objective has entries of either sign."""
+    n, m = rng.randint(1, 6), rng.randint(1, 5)
+
+    def entry(low):
+        return F(rng.randint(low, 9), rng.choice((1, 2, 3, 4, 6)))
+
+    rows = [[entry(1) for _ in range(n)]]
+    rows += [[entry(-4) for _ in range(n)] for _ in range(m - 1)]
+    return LinearProgram(
+        n=n, objective=[entry(-9) for _ in range(n)],
+        maximize=rng.random() < 0.5, le_rows=rows,
+        le_rhs=[entry(0) for _ in range(m)])
+
+
+class TestOptimalityCertificate:
+    """Every optimum of a program whose rows all start on their slacks
+    comes with a checked dual: ``s * y . a_j <= costs[j]`` on every column
+    and ``s * y . rhs`` equal to the optimum, where ``costs`` is a positive
+    multiple of the minimized objective and ``optimum`` the same multiple
+    of its value."""
+
+    def certificate(self, lp, monkeypatch):
+        result, seen = dual_checks(lp, monkeypatch)
+        assert result.status == OPTIMAL
+        ((rows, rhs, y, s, costs, optimum),) = seen
+        # The certificate is about this program's objective and value.
+        sign = -1 if lp.maximize else 1
+        j = next((j for j, v in enumerate(lp.objective) if v), None)
+        k = F(1) if j is None else F(costs[j], sign * lp.objective[j])
+        assert k > 0 and costs[lp.n:] == [0] * (len(costs) - lp.n)
+        assert costs[:lp.n] == [k * sign * v for v in lp.objective]
+        assert optimum == k * sign * result.value
+        assert dual_bound(rows, rhs, y, s, costs) == optimum
+        return rows, rhs, y, s, costs, optimum
+
+    @pytest.mark.parametrize("name, make", CLASSIFY_BOXES,
+                             ids=[name for name, _ in CLASSIFY_BOXES])
+    def test_perturbed_duals_are_rejected(self, name, make, monkeypatch):
+        # Every program classify builds with <= rows only: the
+        # contextual-fraction LPs of the box and of its Bell marginal.
+        checked = 0
+        for lp in classify_programs(make()):
+            if lp.eq_rows:
+                continue
+            rows, rhs, y, s, costs, optimum = self.certificate(lp,
+                                                              monkeypatch)
+            assert any(y)
+            perturbed = [[-v for v in y], [0] * len(y)]
+            for r, v in enumerate(y):
+                if v:
+                    perturbed += [[*y[:r], v + e, *y[r + 1:]] for e in (1, -1)]
+            for bad in perturbed:
+                with pytest.raises(AssertionError, match="certificate"):
+                    exactlp._verify_dual(rows, rhs, bad, s, costs, optimum)
+            checked += 1
+        assert checked == 3
+
+    def test_random_fractional_programs(self, monkeypatch):
+        rng = random.Random(20261019)
+        scales = set()
+        for _ in range(300):
+            lp = random_le_program(rng)
+            scales.add(self.certificate(lp, monkeypatch)[3])
+        assert len(scales) > 1
+
+    def test_programs_with_artificials_have_no_dual_check(self, monkeypatch):
+        lp = LinearProgram(n=2, objective=[F(1), F(1)], maximize=True,
+                           eq_rows=[[F(1), F(1)]], eq_rhs=[F(1)])
+        result, seen = dual_checks(lp, monkeypatch)
+        assert result.value == 1 and seen == []
+
+    def test_empty_table_program(self, monkeypatch):
+        # The contextual-fraction LP of a box with no candidate vertex: no
+        # columns, so the optimum is 0 and its dual is 0.
+        lp = LinearProgram(n=0, objective=[], maximize=True,
+                           le_rows=[[], []], le_rhs=[F(1, 2), F(1, 2)])
+        rows, rhs, y, s, costs, optimum = self.certificate(lp, monkeypatch)
+        assert y == [0, 0] and optimum == 0
 
 
 class TestSolutionCheck:

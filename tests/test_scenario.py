@@ -336,7 +336,8 @@ class TestJsonRoundTrip:
     @pytest.mark.parametrize("edit, message", [
         (lambda data: data.pop("contexts"), "'contexts' key"),
         (lambda data: data.update(label=5), "'label' must be a string"),
-    ], ids=["no-contexts", "non-string-label"])
+        (lambda data: data.update(label="a\udcff"), "valid Unicode text"),
+    ], ids=["no-contexts", "non-string-label", "surrogate-label"])
     def test_malformed_object_rejected(self, edit, message):
         data = box_to_json_dict(fx.build_box(fx.PERES_TABLE))
         edit(data)

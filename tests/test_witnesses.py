@@ -303,7 +303,8 @@ class TestClassifyCallPaths:
     benchmark's tracer wraps them, with the LP counts its known-counts check
     expects."""
 
-    def test_layers_reached(self, monkeypatch):
+    def assert_layers_reached(self, boxes, monkeypatch):
+        """Classify ``(name, box)`` pairs in order from empty caches."""
         calls = Counter()
         searching = []
 
@@ -328,19 +329,28 @@ class TestClassifyCallPaths:
         count(decompose, "nc_membership")
         count(witnesses, "min_nc_dimension", searching)
         count(witnesses, "bell_local_membership")
-        # In this order, from empty caches: the uniform box's Bell marginal
-        # is the noise box's, so its local search is a cache hit.
-        boxes = [("noise", noise_box(), 5),
-                 ("noisy-quarter", noisy_peres_box("1/4"), 5),
-                 ("noisy-third", noisy_peres_box("1/3"), 5),
-                 ("uniform", uniform_box(), 4)]
-        for name, box, solves in boxes:
+        for name, box in boxes:
             calls.clear()
             classify(box)
-            assert calls["solve", False] + calls["solve", True] == solves, name
+            # The contextual-fraction LPs of the box and of its marginal, and
+            # the Peres-strength LP; both membership tests read the first two.
+            assert calls["solve", False] + calls["solve", True] == 3, name
             assert calls["min_nc_dimension", False] == 1, name
             assert calls["nc_membership", True] == 1, name
             assert calls["bell_local_membership", False] == 1, name
+
+    def test_layers_reached(self, monkeypatch):
+        # The known-counts order: the uniform box's Bell marginal is the
+        # noise box's, so its local search is a dimension-cache hit.
+        self.assert_layers_reached(
+            [("noise", noise_box()),
+             ("noisy-quarter", noisy_peres_box("1/4")),
+             ("noisy-third", noisy_peres_box("1/3")),
+             ("uniform", uniform_box())], monkeypatch)
+
+    def test_uniform_alone(self, monkeypatch):
+        # Here the local search runs, and the LP count is the same.
+        self.assert_layers_reached([("uniform", uniform_box())], monkeypatch)
 
     def test_benchmark_tracer_bindings_resolve(self):
         # The tracer wraps each binding by name where its caller looks it
