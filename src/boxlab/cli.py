@@ -1,9 +1,11 @@
 """Command-line interface: ``gen``, ``analyze``, ``sweep``, ``vertices``.
 
-Exit codes: 0 success; 2 bad flags, unreadable or unparsable input, or an
-output file that cannot be written; 3 a float box could not be rationalized
+Exit codes: 0 success; 2 bad flags, unreadable or unparsable input (a
+closed stdin included), or output that cannot be written (a closed, full
+or broken-pipe stdout included); 3 a float box could not be rationalized
 exactly; 4 box validation failed (the message names the violated
-constraint).  All output is deterministic: canonical JSON key order
+constraint).  A closed or failing stderr loses the message, not the code.
+All output is deterministic: canonical JSON key order
 and canonical rational strings, so identical invocations are byte-identical.
 
 Rationals on the command line are written ``num/den`` (or a bare integer);
@@ -15,6 +17,7 @@ decimal input is rejected to protect exactness.  The env var
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import errno
 import io
@@ -83,23 +86,41 @@ SWEEP_COLUMNS = (
 )
 
 
+def _emit(stream, text: str) -> None:
+    """Write and flush ``text`` on a standard stream.  When that fails, the
+    stream's descriptor is pointed at the null device before the error
+    propagates: the interpreter flushes the stream again at exit, and a
+    failure there would make the exit code 120."""
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, stream.fileno())
+        os.close(null)
+        raise
+
+
 def _write_text(text: str, path: str | None) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        try:
+    try:
+        if path is None or path == "-":
+            _check_output(path)
+            _emit(sys.stdout, text)
+        else:
             with open(path, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
-        except OSError as exc:
-            raise BoxParseError(f"cannot write output file: {exc}") from exc
+    except OSError as exc:
+        raise BoxParseError(f"cannot write output file: {exc}") from exc
 
 
 def _check_output(path: str | None) -> None:
     """Raise the error :func:`_write_text` would raise for ``path`` when it
-    cannot be opened for writing, without creating or truncating it, so a
-    command fails before its work does.  A new path ending in a separator
-    is left to :func:`_write_text`."""
+    cannot be opened for writing, or stdout when it is closed, without
+    creating or truncating it, so a command fails before its work does.  A
+    new path ending in a separator is left to :func:`_write_text`."""
     if path is None or path == "-":
+        if sys.stdout is None:
+            raise BoxParseError("cannot write output file: stdout is closed")
         return
     try:
         if os.path.exists(path):
@@ -182,6 +203,8 @@ def cmd_gen(args) -> int:
 def _load_box(path: str):
     try:
         if path == "-":
+            if sys.stdin is None:
+                raise BoxParseError("cannot read box file: stdin is closed")
             # Bytes, so the decode is strict UTF-8 whatever stdin's encoding.
             text = sys.stdin.buffer.read().decode("utf-8")
         else:
@@ -364,19 +387,17 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (BoxParseError, ParameterOutOfRange) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        error, code = exc, 2
     except NoExactRationalization as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        error, code = exc, 3
     except BoxValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-
-
-def entry() -> None:
-    sys.exit(main())
+        error, code = exc, 4
+    # A closed or failing stderr loses the message, not the exit code.
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):
+            _emit(sys.stderr, f"error: {error}\n")
+    return code
 
 
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

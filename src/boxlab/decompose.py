@@ -322,8 +322,7 @@ def _membership(target, vs: _VertexSet) -> tuple[bool, Decomposition | None]:
     scores ``y . a_j >= 1``, so every convex mixture of them does, and the
     target scores ``y . rhs < 1``.
     """
-    table = _cell_table(target, vs)
-    result = _cost_lp(table)
+    table, result = _cost_lp(vs.dists(target), vs)
     if result.value != 1:
         return (False, None)
     terms = [(vid, q) for vid, q in zip(table.ids, result.x) if q > 0]
@@ -364,8 +363,7 @@ def contextual_fraction(box: Box) -> ContextualFraction:
     the box entrywise; cost is one minus that optimum.  When the optimum is
     below one, the rescaled remainder is itself a valid box (checked).
     """
-    table = _cell_table(box, _NC)
-    result = _cost_lp(table)
+    table, result = _cost_lp(box.contexts, _NC)
     ncf = result.value
     witness = tuple((vid, q) for vid, q in zip(table.ids, result.x) if q > 0)
     cost = max(_ZERO, 1 - ncf)
@@ -374,13 +372,14 @@ def contextual_fraction(box: Box) -> ContextualFraction:
     return ContextualFraction(ncf, cost, witness)
 
 
-@lru_cache(maxsize=1)
-def _cost_lp(table: _CellTable) -> LPResult:
-    """The contextual-fraction LP on a table: the largest vertex mixture
-    under the target on its support cells.  A memo of the last table only,
-    so :func:`peres_strength` continues from the LP that
-    :func:`contextual_fraction` just solved on the same box, and the
-    membership test of a box or marginal reads the LP just solved on it."""
+@lru_cache(maxsize=2)
+def _cost_lp(dists: tuple, vs: _VertexSet) -> tuple[_CellTable, LPResult]:
+    """The cell table of the target with distributions ``dists`` and its
+    contextual-fraction LP: the largest vertex mixture under the target on
+    its support cells.  A memo of two targets, a box and its Bell marginal
+    (each entry holds a final tableau), keyed without labels, so each gets
+    one table and one solve in any call order."""
+    table = _cell_table(vs.target(dists), vs)
     m = len(table.ids)
     result = solve(LinearProgram(n=m, objective=[_ONE] * m, maximize=True,
                                  le_rows=_cover_rows(table),
@@ -388,7 +387,7 @@ def _cost_lp(table: _CellTable) -> LPResult:
     if result.status != OPTIMAL:
         raise AssertionError(
             f"contextual-fraction LP returned {result.status}")
-    return result
+    return table, result
 
 
 def _assert_valid_remainder(box: Box, witness, ncf: Fraction) -> None:
@@ -419,14 +418,13 @@ def peres_strength(box: Box) -> PeresStrength:
     The program is the contextual-fraction LP's cell rows as equalities,
     plus a trailing column for the parity box and a row summing the
     weights, so it is solved as a continuation of that LP's final tableau
-    (see :func:`~boxlab.exactlp.solve`): the LP is solved here first when
-    :func:`contextual_fraction` has not just solved it on the same box, and
-    the answer does not depend on which.
+    (see :func:`~boxlab.exactlp.solve`), read from the memo that
+    :func:`contextual_fraction` and the membership tests share on the box.
     """
     parity = peres_box()
     # Support-filtered candidates are exact here too: on cells where the box
     # is 0, every term of the nonnegative combination must vanish.
-    table = _cell_table(box, _NC)
+    table, start = _cost_lp(box.contexts, _NC)
     m = len(table.ids)
     # The membership system plus a column for the parity box's weight.  Each
     # candidate covers 5 support cells, where the box sums to 5, so adding
@@ -439,7 +437,7 @@ def peres_strength(box: Box) -> PeresStrength:
     result = solve(LinearProgram(
         n=m + 1, objective=[0] * m + [s], maximize=True,
         eq_rows=[*rows, [1] * m + [s]], eq_rhs=[*table.rhs, _ONE],
-        start=_cost_lp(table)))
+        start=start))
     if result.status != OPTIMAL:
         raise NotDecomposable(
             "box is not a mixture of the parity box with a noncontextual box")
@@ -521,8 +519,7 @@ class _SpanFilter:
     def __init__(self, table: _CellTable):
         n = len(table.ids)
         scale, target = _integers(table.rhs)
-        rows = [[(bits >> r) & 1 for bits in table.colbits] + [t]
-                for r, t in enumerate(target)]
+        rows = [[*row, t] for row, t in zip(_cover_rows(table), target)]
         rows.append([1] * n + [scale])
         basis = _echelon(rows)
         keep = [r for r, _ in basis]
@@ -717,7 +714,8 @@ def _min_dimension(target, budget: int | None, vs: _VertexSet, membership,
     member, _ = membership(target)
     if not member:
         raise outside_error
-    result = _min_subset_search(_cell_table(target, vs), budget, target, vs)
+    table, _ = _cost_lp(vs.dists(target), vs)
+    result = _min_subset_search(table, budget, target, vs)
     _dimension_cache[key] = result
     if len(_dimension_cache) > _DIMENSION_CACHE_CAPACITY:
         del _dimension_cache[next(iter(_dimension_cache))]

@@ -624,6 +624,18 @@ class TestOutputCheckedFirst:
         assert kept.read_text() == "keep"
         assert not new.exists()
 
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_closed_stdout_fails_before_the_work(self, tmp_path, capsys,
+                                                 monkeypatch, command):
+        # The interpreter sets sys.stdout to None when descriptor 1 is
+        # closed at start.
+        argv = self.argv(tmp_path, capsys, command, "-")
+        self.forbid_work(monkeypatch)
+        monkeypatch.setattr(sys, "stdout", None)
+        code, out, err = run_cli(capsys, *argv)
+        assert_one_error_line(code, out, err)
+        assert err == "error: cannot write output file: stdout is closed\n"
+
     def test_invalid_box_leaves_the_output_alone(self, tmp_path, capsys):
         data = box_to_json_dict(fx.build_box(fx.NOISY_THIRD_TABLE))
         data["contexts"]["C1"] = ["1/2", "0", "0", "1/2", "0", "0", "0", "0"]
@@ -716,3 +728,87 @@ class TestConsoleScript:
         assert "Traceback" not in result.stderr
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+
+
+def run_with_streams(tmp_path, *argv, closed=(), stdout=subprocess.PIPE,
+                     stderr=subprocess.PIPE):
+    """``python -m boxlab.cli`` in a subprocess with stdout and stderr sent
+    to ``stdout`` and ``stderr`` and the standard descriptors in ``closed``
+    closed.  Its streams are buffered, as by default, so that output still
+    buffered at exit is flushed then."""
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(boxlab.__file__).resolve().parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run(
+        [sys.executable, "-m", "boxlab.cli", *argv], stdout=stdout,
+        stderr=stderr, text=True, timeout=120, cwd=tmp_path,
+        env=env, preexec_fn=lambda: [os.close(fd) for fd in closed])
+
+
+def assert_write_error(result):
+    """Exit 2 (not 1 from a traceback, nor 120 from a failed flush at
+    interpreter exit) with one ``cannot write output file`` line."""
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: cannot write output file: ")
+    assert result.stderr.count("\n") == 1, result.stderr
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes and pipes descriptors")
+class TestStandardStreams:
+    """A closed or failing standard stream exits 2, never with a
+    traceback."""
+
+    def test_closed_stdin(self, tmp_path):
+        result = run_with_streams(tmp_path, "analyze", "-", closed=(0,))
+        assert_one_error_line(result.returncode, result.stdout, result.stderr)
+        assert result.stderr == "error: cannot read box file: stdin is closed\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "box.json", "--skip-dims"),
+        ("gen", "--family", "noise"),
+        ("vertices",),
+    ])
+    def test_closed_stdout(self, tmp_path, capsys, argv):
+        gen_box_file(tmp_path, capsys, "--family", "noise")
+        result = run_with_streams(tmp_path, *argv, closed=(1,))
+        assert_write_error(result)
+        assert result.stderr.endswith(": stdout is closed\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ("gen", "--family", "noise"),
+        ("vertices",),
+        ("vertices", "--bell-marginal"),
+    ])
+    def test_full_device(self, tmp_path, argv):
+        with open("/dev/full", "w") as full:
+            result = run_with_streams(tmp_path, *argv, stdout=full)
+        assert_write_error(result)
+
+    def test_broken_pipe(self, tmp_path):
+        # The reading end is closed before the command starts, so every
+        # write fails, however short the output.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = run_with_streams(tmp_path, "gen", "--family", "noise",
+                                      stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert_write_error(result)
+
+    @pytest.mark.parametrize("argv, code", [
+        (("analyze", "missing.json"), 2),
+        (("gen", "--family", "noisy-peres", "--W", "2"), 2),
+        (("gen", "--state", "werner", "--observables", "peres", "--W",
+          "1/3", "--max-denominator", "2"), 3),
+    ])
+    def test_closed_stderr_keeps_the_exit_code(self, tmp_path, argv, code):
+        result = run_with_streams(tmp_path, *argv, closed=(2,))
+        assert (result.returncode, result.stdout, result.stderr) == (
+            code, "", "")
+        # A descriptor open for reading only: every write to it fails.
+        with open(os.devnull, "rb") as null:
+            result = run_with_streams(tmp_path, *argv, stderr=null)
+        assert (result.returncode, result.stdout) == (code, "")

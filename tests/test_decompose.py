@@ -561,6 +561,50 @@ def recorded_peres_strength(box, monkeypatch, before=None):
             return None, programs
 
 
+class TestCostLpMemo:
+    """Each target gets one cell table and one contextual-fraction LP,
+    whichever question comes first: the memo holds a box and its Bell
+    marginal at once, keyed by their distributions alone."""
+
+    @staticmethod
+    def record_programs(monkeypatch):
+        programs = []
+
+        def recording(lp):
+            programs.append(lp)
+            return solve(lp)
+
+        decompose._cost_lp.cache_clear()
+        monkeypatch.setattr(decompose, "solve", recording)
+        monkeypatch.setattr(decompose, "_dimension_cache", {})
+        return programs
+
+    def test_alternating_box_and_marginal(self, monkeypatch):
+        box = noisy_peres_box("1/4")
+        marginal = bell_marginal(box)
+        programs = self.record_programs(monkeypatch)
+        for _ in range(3):
+            assert nc_membership(box)[0]
+            assert bell_local_membership(marginal)[0]
+            assert contextual_fraction(box).ncf == 1
+            assert nc_membership(box.with_label("relabelled"))[0]
+        assert peres_strength(box).value == Fraction(5, 8)
+        assert min_lhv_dimension(marginal, budget=0).nodes_used == 0
+        # The box's LP (20 support cells), the marginal's (16), then the
+        # Peres-strength LP continued from the box's.
+        assert [(len(lp.le_rows), lp.start is not None)
+                for lp in programs] == [(20, False), (16, False), (0, True)]
+
+    def test_memo_stays_bounded(self):
+        decompose._cost_lp.cache_clear()
+        for i in range(50):
+            box = noisy_peres_box(Fraction(i, 49))
+            contextual_fraction(box)
+            bell_local_membership(bell_marginal(box))
+        info = decompose._cost_lp.cache_info()
+        assert info.maxsize == 2 and info.currsize <= 2
+
+
 class TestPeresStrengthContinuation:
     """The Peres-strength program continues from the contextual-fraction
     LP's final tableau: it gets the cold program's status and value, and

@@ -445,11 +445,11 @@ CLASSIFY_BOXES = [
 
 def classify_programs(box):
     """Every LP ``classify`` builds for the box: the contextual fraction,
-    Peres strength and Bell-local membership (``skip_dims``), plus the NC
-    membership the dimension search adds, which solves the
-    contextual-fraction LP again because the memo now holds the
-    marginal's.  The Peres-strength program carries the
-    contextual-fraction result it continues from."""
+    Peres strength and Bell-local membership (``skip_dims``).  The NC
+    membership the dimension search adds after them reads the memo, which
+    holds the box's LP next to the marginal's, so it builds none.  The
+    Peres-strength program carries the contextual-fraction result it
+    continues from."""
     programs = []
     decompose._cost_lp.cache_clear()
 
@@ -471,9 +471,9 @@ class TestIntegerTableauMatchesReference:
                              ids=[name for name, _ in CLASSIFY_BOXES])
     def test_classify_programs(self, name, make, integer_pivots):
         programs = classify_programs(make())
-        assert len(programs) == 4
+        assert len(programs) == 3
         assert [lp.start is not None for lp in programs] == [
-            False, True, False, False]
+            False, True, False]
         assert_programs_match_reference(programs, integer_pivots)
 
     def test_relabelled_mixtures_reach_infeasible_peres_strength(self):
@@ -845,7 +845,7 @@ class TestOptimalityCertificate:
                 with pytest.raises(AssertionError, match="certificate"):
                     exactlp._verify_dual(rows, rhs, bad, s, costs, optimum)
             checked += 1
-        assert checked == 3
+        assert checked == 2
 
     def test_random_fractional_programs(self, monkeypatch):
         rng = random.Random(20261019)

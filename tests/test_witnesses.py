@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import fixtures as fx
-from boxlab import decompose, witnesses
+from boxlab import cli, decompose, witnesses
 from boxlab.boxes import noise_box, noisy_peres_box, peres_box, uniform_box
 from boxlab.decompose import is_superlocal
 from boxlab.errors import PairNotJoint, ParameterOutOfRange
@@ -351,6 +351,43 @@ class TestClassifyCallPaths:
     def test_uniform_alone(self, monkeypatch):
         # Here the local search runs, and the LP count is the same.
         self.assert_layers_reached([("uniform", uniform_box())], monkeypatch)
+
+    @staticmethod
+    def count_tables(monkeypatch):
+        """Cell tables built per (vertex set, distributions), from empty
+        caches."""
+        tables = Counter()
+        build = decompose._cell_table
+
+        def counted(target, vs):
+            tables[vs.name, vs.dists(target)] += 1
+            return build(target, vs)
+
+        monkeypatch.setattr(decompose, "_cell_table", counted)
+        monkeypatch.setattr(decompose, "_dimension_cache", {})
+        decompose._cost_lp.cache_clear()
+        return tables
+
+    @pytest.mark.parametrize("make", [
+        noise_box, lambda: noisy_peres_box("1/4"),
+        lambda: noisy_peres_box("1/2"), uniform_box,
+    ], ids=["noise", "noisy-quarter", "noisy-half", "uniform"])
+    def test_each_table_is_built_once(self, monkeypatch, make):
+        # The box's table serves its contextual fraction, Peres strength,
+        # membership and search; the marginal's its membership and search.
+        tables = self.count_tables(monkeypatch)
+        classify(make())
+        assert sorted(name for name, _ in tables) == [
+            decompose.LHV_VERTEX_SET, decompose.NC_VERTEX_SET]
+        assert set(tables.values()) == {1}
+
+    def test_sweep_row_builds_one_table(self, monkeypatch):
+        tables = self.count_tables(monkeypatch)
+        row = cli._sweep_row(Fraction(1, 4), noisy_peres_box("1/4"), None)
+        assert row["min_nc_dim"] == "9"
+        assert list(tables) == [(decompose.NC_VERTEX_SET,
+                                 noisy_peres_box("1/4").contexts)]
+        assert set(tables.values()) == {1}
 
     def test_benchmark_tracer_bindings_resolve(self):
         # The tracer wraps each binding by name where its caller looks it
