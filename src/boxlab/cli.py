@@ -2,9 +2,10 @@
 
 Exit codes: 0 success; 2 bad flags, unreadable or unparsable input (a
 closed stdin included), or output that cannot be written (a closed, full
-or broken-pipe stdout included); 3 a float box could not be rationalized
-exactly; 4 box validation failed (the message names the violated
-constraint).  A closed or failing stderr loses the message, not the code.
+or broken-pipe stdout included, for ``--help`` too); 3 a float box could
+not be rationalized exactly; 4 box validation failed (the message names the
+violated constraint).  A closed or failing stderr loses the message, a
+usage error's included, not the code.
 All output is deterministic: canonical JSON key order
 and canonical rational strings, so identical invocations are byte-identical.
 
@@ -99,6 +100,14 @@ def _emit(stream, text: str) -> None:
         os.dup2(null, stream.fileno())
         os.close(null)
         raise
+
+
+def _report(text: str) -> None:
+    """Write ``text`` on stderr; a closed or failing stderr loses it, so
+    that the caller's exit code still stands."""
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):
+            _emit(sys.stderr, text)
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -317,8 +326,22 @@ def cmd_vertices(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose text goes out through :func:`_emit`: help
+    to stdout, where a failed write raises :class:`BoxParseError` as any
+    command's output does, and a usage error's text to stderr, where a
+    failed write loses the text but not the exit code 2."""
+
+    def print_help(self, file=None) -> None:
+        _write_text(self.format_help(), None)
+
+    def error(self, message: str):
+        _report(f"{self.format_usage()}{self.prog}: error: {message}\n")
+        raise SystemExit(2)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="boxlab",
         description=("Exact-rational toolbox for the five-context "
                      "parity scenario: generate boxes, classify them, sweep "
@@ -376,26 +399,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        if code in (0, None):
-            return 0
-        return 2
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:
+        # --help or a usage error, after its text (see _Parser).
+        return 0 if exc.code in (0, None) else 2
     except (BoxParseError, ParameterOutOfRange) as exc:
         error, code = exc, 2
     except NoExactRationalization as exc:
         error, code = exc, 3
     except BoxValidationError as exc:
         error, code = exc, 4
-    # A closed or failing stderr loses the message, not the exit code.
-    if sys.stderr is not None:
-        with contextlib.suppress(OSError):
-            _emit(sys.stderr, f"error: {error}\n")
+    _report(f"error: {error}\n")
     return code
 
 

@@ -42,10 +42,11 @@ The ratio test compares ratios within one column by cross-multiplying
 integers, and ties still go to the lowest basic variable, so every program
 takes the same pivots and gets the same answer.  A start at ``d = s`` on an
 all-scaled matrix would price alike but lose the exact division.
-:class:`~fractions.Fraction` remains only at the boundary: the input rows,
-the final ``x[j] = M[r][-1] / (d*t)``, and the checks below.  No tolerances
-anywhere, and the fixed variable order makes identical programs yield
-identical results.
+:class:`~fractions.Fraction` remains only at the boundary: an input entry
+that is not a whole number (whole ones are read as ints), and the returned
+answer, built once from integer numerators over one denominator.  No
+tolerances anywhere, and the fixed variable order makes identical programs
+yield identical results.
 
 A program may continue from an earlier one (``LinearProgram.start``) whose
 rows were all ``<=`` with nonnegative right-hand sides, when it takes those
@@ -61,9 +62,14 @@ basis).  Everything after that, the Farkas vector included, is the cold
 path's.
 
 Every returned answer is re-verified against the original program before it
-is handed back.  An optimal solution is re-checked constraint by
-constraint.  Row r started on the unit column ``j``, so ``d`` times its
-dual is ``d*c[j] - cost[j]`` in the final tableau, and one checker
+is handed back.  An optimal solution is read as integer numerators ``num``
+over one denominator ``den = d*t`` (``num[j]`` is the right-hand side of
+the row where column ``j`` is basic, else 0) and re-checked in those
+integers against the program's own rows, not the tableau: ``num >= 0``,
+``a.num == b*den`` on every equality row, ``a.num <= b*den`` on every
+``<=`` row, and ``c.num == value*den``.  Only then is ``x = num / den``
+built.  Row r started on the unit column ``j``, so ``d`` times its dual is
+``d*c[j] - cost[j]`` in the final tableau, and one checker
 (:func:`_verify_dual`) tests that vector against the standard-form rows.
 From phase 1 it is a Farkas vector, proving infeasibility; from a phase 2
 with no phase 1 (every row started on its slack) it proves the optimum, so
@@ -78,6 +84,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from typing import NamedTuple, Sequence
 
@@ -120,10 +127,23 @@ class LPResult:
     tableau: _Final | None = field(default=None, compare=False, repr=False)
 
 
-def _rational(v) -> int | Fraction:
-    """``v`` itself when it is exactly an int or a Fraction, else
-    ``Fraction(v)`` (floats, strings, bools and other numbers)."""
-    return v if type(v) is int or type(v) is Fraction else Fraction(v)
+def _exact(v) -> int | Fraction:
+    """``v`` as an exact number: an int when it is a whole number, else a
+    Fraction (from floats, strings, bools and other numbers too); raises
+    :class:`MalformedProgram` when ``v`` is no exact number."""
+    if type(v) is not Fraction:
+        try:
+            v = Fraction(v)
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+            raise MalformedProgram(
+                f"program entry {v!r} is not an exact number") from None
+    return v.numerator if v.denominator == 1 else v
+
+
+def _entries(values) -> list:
+    """``values`` as a list, its int entries as they are and every other
+    entry through :func:`_exact`."""
+    return [v if type(v) is int else _exact(v) for v in values]
 
 
 def _validated(lp: LinearProgram) -> tuple[list, list[list], list,
@@ -131,7 +151,7 @@ def _validated(lp: LinearProgram) -> tuple[list, list[list], list,
     """The program's entries as ints and Fractions, lengths checked."""
     if lp.n < 0:
         raise MalformedProgram("variable count must be nonnegative")
-    objective = [_rational(v) for v in lp.objective]
+    objective = _entries(lp.objective)
     if len(objective) != lp.n:
         raise MalformedProgram(
             f"objective length {len(objective)} != variable count {lp.n}")
@@ -139,15 +159,14 @@ def _validated(lp: LinearProgram) -> tuple[list, list[list], list,
         raise MalformedProgram("eq_rows and eq_rhs lengths differ")
     if len(lp.le_rows) != len(lp.le_rhs):
         raise MalformedProgram("le_rows and le_rhs lengths differ")
-    eq_rows = [[_rational(v) for v in row] for row in lp.eq_rows]
-    le_rows = [[_rational(v) for v in row] for row in lp.le_rows]
+    eq_rows = [_entries(row) for row in lp.eq_rows]
+    le_rows = [_entries(row) for row in lp.le_rows]
     for row in eq_rows + le_rows:
         if len(row) != lp.n:
             raise MalformedProgram(
                 f"constraint row length {len(row)} != variable count {lp.n}")
-    eq_rhs = [_rational(v) for v in lp.eq_rhs]
-    le_rhs = [_rational(v) for v in lp.le_rhs]
-    return objective, eq_rows, eq_rhs, le_rows, le_rhs
+    return (objective, eq_rows, _entries(lp.eq_rhs), le_rows,
+            _entries(lp.le_rhs))
 
 
 class _Tableau:
@@ -255,8 +274,11 @@ def _bareiss_step(v: list[int], pivot: tuple[int, int, int, list[int]]
     return [(x * p - f * y) // d for x, y in zip(v, row)]
 
 
-def _integers(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """``(s, s*values)`` with ``s`` the lcm of the values' denominators."""
+def _integers(values: Sequence[int | Fraction]) -> tuple[int, list[int]]:
+    """``(s, s*values)`` with ``s`` the lcm of the values' denominators; an
+    all-int list is already that, with ``s = 1``."""
+    if set(map(type, values)) <= {int}:
+        return 1, list(values)
     s = lcm(*(v.denominator for v in values))
     return s, [v.numerator * (s // v.denominator) for v in values]
 
@@ -312,12 +334,14 @@ def solve(lp: LinearProgram) -> LPResult:
     # an identity basis with d = 1; their reduced costs are then 1/s of
     # the rational simplex's, relative to the structural ones, and pricing
     # weighs them by s.
-    s, entries = _integers([v for row in rows for v in row[:n]])
+    s, entries = _integers(list(chain.from_iterable(r[:n] for r in rows)))
     # One common factor t makes the right-hand side integer; scaling a
     # column changes no pivot, and keeps d free of the rhs denominators.
-    t, b = _integers([s * v for v in rhs])
-    cold = [entries[r * n:(r + 1) * n] + [int(v) for v in rows[r][n:]]
-            + [int(a == r) for a in artificial] + [b[r]] for r in range(m)]
+    t, b = _integers(rhs if s == 1 else [s * v for v in rhs])
+    # The slack entries are already the ints set above.
+    cold = [entries[r * n:(r + 1) * n] + rows[r][n:]
+            + [1 if a == r else 0 for a in artificial] + [b[r]]
+            for r in range(m)]
     if lp.start is None:
         tableau = _Tableau(cold, list(initial), n, s)
     else:
@@ -361,19 +385,23 @@ def solve(lp: LinearProgram) -> LPResult:
     tableau.price(c)
     tableau.run_simplex()
 
-    d = tableau.d
-    x = [_ZERO] * n
+    # The basic solution is num / den: integer numerators, one denominator.
+    den = tableau.d * t
+    num = [0] * n
     for row, col in zip(tableau.rows, tableau.basis):
         if col < n:
-            x[col] = Fraction(row[-1], d * t)
-    value = sum((objective[i] * x[i] for i in range(n)), _ZERO)
-    _verify_solution(objective, eq_rows, eq_rhs, le_rows, le_rhs, x, value)
+            num[col] = row[-1]
+    value = Fraction(sum(a * v for a, v in zip(objective, num) if v), den)
+    _verify_solution(objective, eq_rows, eq_rhs, le_rows, le_rhs, num, den,
+                     value)
+    x = tuple(Fraction(v, den) if v else _ZERO for v in num)
     if artificial:
-        return LPResult(OPTIMAL, value, tuple(x))
+        return LPResult(OPTIMAL, value, x)
     # The minimized objective is c . x / u = sign * value.
+    d = tableau.d
     _verify_dual(rows, rhs, _dual(tableau, c, initial), s,
                  [d * v for v in c[:width]], d * u * sign * value)
-    return LPResult(OPTIMAL, value, tuple(x), _Final(rows, rhs, t, tableau))
+    return LPResult(OPTIMAL, value, x, _Final(rows, rhs, t, tableau))
 
 
 def _dual(tableau: _Tableau, c: list[int], initial: list[int]) -> list[int]:
@@ -462,20 +490,25 @@ def _verify_dual(rows: list[list[Fraction]], rhs: list[Fraction],
 
 
 def _verify_solution(objective, eq_rows, eq_rhs, le_rows, le_rhs,
-                     x: list[Fraction], value: Fraction) -> None:
-    if any(v < 0 for v in x):
+                     num: list[int], den: int, value: Fraction) -> None:
+    """Check the solution ``x = num / den`` and its objective ``value``
+    against the program's own rows, multiplied through by ``den``:
+    ``num >= 0`` with ``den > 0``, ``a . num == b * den`` on every equality
+    row, ``a . num <= b * den`` on every ``<=`` row, and ``objective . num
+    == value * den``.  On integer rows each product is int by int; Fraction
+    rows go through the same sums, exactly, by Python's number tower."""
+    if den <= 0 or any(v < 0 for v in num):
         raise AssertionError("simplex returned a negative variable")
     # Sum only nonzero products: a vertex has at most as many nonzero
     # entries as rows, and most coefficients here are 0.
-    nonzero = [(j, v) for j, v in enumerate(x) if v]
+    nonzero = [(j, v) for j, v in enumerate(num) if v]
 
-    def dot(row) -> Fraction:
-        return sum((row[j] * v for j, v in nonzero if row[j]), _ZERO)
+    def dot(row):
+        return sum(row[j] * v for j, v in nonzero if row[j])
 
-    if any(dot(row) != b for row, b in zip(eq_rows, eq_rhs)):
+    if any(dot(row) != b * den for row, b in zip(eq_rows, eq_rhs)):
         raise AssertionError("simplex solution violates an equality")
-    if any(dot(row) > b for row, b in zip(le_rows, le_rhs)):
+    if any(dot(row) > b * den for row, b in zip(le_rows, le_rhs)):
         raise AssertionError("simplex solution violates an inequality")
-    if dot(objective) != value:
+    if dot(objective) != value * den:
         raise AssertionError("objective value mismatch")
-

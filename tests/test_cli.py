@@ -731,14 +731,17 @@ class TestConsoleScript:
 
 
 def run_with_streams(tmp_path, *argv, closed=(), stdout=subprocess.PIPE,
-                     stderr=subprocess.PIPE):
+                     stderr=subprocess.PIPE, unbuffered=False):
     """``python -m boxlab.cli`` in a subprocess with stdout and stderr sent
     to ``stdout`` and ``stderr`` and the standard descriptors in ``closed``
     closed.  Its streams are buffered, as by default, so that output still
-    buffered at exit is flushed then."""
+    buffered at exit is flushed then, unless ``unbuffered`` sets
+    ``PYTHONUNBUFFERED``."""
     env = {**os.environ,
            "PYTHONPATH": str(Path(boxlab.__file__).resolve().parents[1])}
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run(
         [sys.executable, "-m", "boxlab.cli", *argv], stdout=stdout,
         stderr=stderr, text=True, timeout=120, cwd=tmp_path,
@@ -812,3 +815,76 @@ class TestStandardStreams:
         with open(os.devnull, "rb") as null:
             result = run_with_streams(tmp_path, *argv, stderr=null)
         assert (result.returncode, result.stdout) == (code, "")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes and pipes descriptors")
+class TestHelpAndUsageStreams:
+    """``--help`` and a usage error on a closed or failing stream keep the
+    documented exit codes, with the child's streams buffered and
+    unbuffered: help that cannot be written exits 2 with one error line,
+    and a usage error exits 2 whatever becomes of its text."""
+
+    HELP = [("--help",), ("analyze", "--help")]
+    USAGE = ("analyze",)  # the box argument is missing
+
+    def test_help_and_usage_text(self, capsys):
+        code, out, err = run_cli(capsys, "--help")
+        assert (code, out, err) == (0, cli._build_parser().format_help(), "")
+        code, out, err = run_cli(capsys, *self.USAGE)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: boxlab analyze ")
+        assert err.endswith("\nboxlab analyze: error: the following "
+                            "arguments are required: box\n")
+
+    @pytest.mark.parametrize("argv", HELP)
+    def test_help_to_closed_stdout(self, tmp_path, argv):
+        for unbuffered in (False, True):
+            result = run_with_streams(tmp_path, *argv, closed=(1,),
+                                      unbuffered=unbuffered)
+            assert_write_error(result)
+            assert result.stderr.endswith(": stdout is closed\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="no /dev/full")
+    @pytest.mark.parametrize("argv", HELP)
+    def test_help_to_full_device(self, tmp_path, argv):
+        for unbuffered in (False, True):
+            with open("/dev/full", "w") as full:
+                result = run_with_streams(tmp_path, *argv, stdout=full,
+                                          unbuffered=unbuffered)
+            assert_write_error(result)
+            assert "Traceback" not in result.stderr
+
+    def test_help_to_broken_pipe(self, tmp_path):
+        for unbuffered in (False, True):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                result = run_with_streams(tmp_path, "--help",
+                                          stdout=write_end,
+                                          unbuffered=unbuffered)
+            finally:
+                os.close(write_end)
+            assert_write_error(result)
+            assert "Traceback" not in result.stderr
+
+    def test_usage_error_to_closed_stderr(self, tmp_path):
+        for unbuffered in (False, True):
+            result = run_with_streams(tmp_path, *self.USAGE, closed=(2,),
+                                      unbuffered=unbuffered)
+            assert (result.returncode, result.stdout, result.stderr) == (
+                2, "", "")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="no /dev/full")
+    def test_usage_error_to_full_device(self, tmp_path):
+        for unbuffered in (False, True):
+            with open("/dev/full", "w") as full:
+                result = run_with_streams(tmp_path, *self.USAGE, stderr=full,
+                                          unbuffered=unbuffered)
+            assert (result.returncode, result.stdout) == (2, "")
+            # A descriptor open for reading only: every write to it fails.
+            with open(os.devnull, "rb") as null:
+                result = run_with_streams(tmp_path, *self.USAGE, stderr=null,
+                                          unbuffered=unbuffered)
+            assert (result.returncode, result.stdout) == (2, "")

@@ -1,6 +1,7 @@
 """Exact rational linear programming: correctness, degeneracy, cross-checks."""
 
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
@@ -14,7 +15,7 @@ from boxlab import decompose, exactlp
 from boxlab.boxes import noise_box, noisy_peres_box, peres_box, uniform_box
 from boxlab.errors import MalformedProgram, NotDecomposable
 from boxlab.exactlp import INFEASIBLE, OPTIMAL, LinearProgram, LPResult, solve
-from boxlab.scenario import mix_boxes
+from boxlab.scenario import format_rational, mix_boxes
 from boxlab.vertices import enumerate_nc_vertices
 from boxlab.witnesses import classify
 
@@ -138,6 +139,30 @@ class TestValidation:
         with pytest.raises(MalformedProgram, match="le_rows and le_rhs"):
             solve(LinearProgram(n=1, objective=[F(1)], maximize=True,
                                 le_rows=[[F(1)]], le_rhs=[F(1), F(2)]))
+
+    @pytest.mark.parametrize("place", ["objective", "eq_rows", "eq_rhs",
+                                       "le_rows", "le_rhs"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf"), None, "x"],
+                             ids=["nan", "inf", "-inf", "None", "str"])
+    def test_inexact_entry_is_malformed(self, place, bad):
+        entries = {"objective": [1, 1], "eq_rows": [[1, 1]], "eq_rhs": [1],
+                   "le_rows": [[1, 0]], "le_rhs": [1]}
+        spot = entries[place]
+        if place.endswith("rows"):
+            spot = spot[0]
+        spot[-1] = bad
+        with pytest.raises(MalformedProgram,
+                           match=rf"entry {re.escape(repr(bad))} is not an "
+                                 "exact number"):
+            solve(LinearProgram(n=2, **entries))
+
+    def test_bool_entries_are_accepted(self):
+        def program(one):
+            return LinearProgram(n=1, objective=[one], le_rows=[[one]],
+                                 le_rhs=[one])
+
+        assert solve(program(True)) == solve(program(1))
 
     def test_negative_variable_count(self):
         with pytest.raises(MalformedProgram, match="nonnegative"):
@@ -871,28 +896,40 @@ class TestOptimalityCertificate:
 
 
 class TestSolutionCheck:
-    """``_verify_solution`` on a small program, with ``x`` corrupted to hit
-    each of its four checks."""
+    """``_verify_solution`` on a small program, with the solution ``num /
+    den`` corrupted to hit each of its four checks, on integer rows and on
+    the same program with every row and the objective divided through."""
 
-    # max x0 + x1  s.t.  x0 + x1 + x2 = 2,  x0 <= 1,  x >= 0.
-    OBJECTIVE = [F(1), F(1), F(0)]
-    EQ_ROWS, EQ_RHS = [[F(1), F(1), F(1)]], [F(2)]
-    LE_ROWS, LE_RHS = [[F(1), F(0), F(0)]], [F(1)]
+    # max x0 + x1  s.t.  x0 + x1 + x2 = 2,  x0 <= 1,  x >= 0, and the
+    # objective's factor in the second spelling.
+    PROGRAMS = {
+        "int": ([1, 1, 0], [[1, 1, 1]], [2], [[1, 0, 0]], [1], 1),
+        "fraction": ([F(1, 2), F(1, 2), 0], [[F(1, 3)] * 3], [F(2, 3)],
+                     [[F(1, 2), 0, 0]], [F(1, 2)], F(1, 2)),
+    }
 
-    def check(self, x, value):
-        exactlp._verify_solution(self.OBJECTIVE, self.EQ_ROWS, self.EQ_RHS,
-                                 self.LE_ROWS, self.LE_RHS,
-                                 [F(v) for v in x], F(value))
+    def check(self, program, x, value, den=1):
+        *rows, scale = self.PROGRAMS[program]
+        exactlp._verify_solution(*rows, [v * den for v in x], den,
+                                 F(value) * scale)
 
-    def test_optimum_passes(self):
-        lp = LinearProgram(n=3, objective=self.OBJECTIVE,
-                           eq_rows=self.EQ_ROWS, eq_rhs=self.EQ_RHS,
-                           le_rows=self.LE_ROWS, le_rhs=self.LE_RHS)
-        result = solve(lp)
-        assert result.value == 2
-        self.check(result.x, result.value)
-        self.check([1, 1, 0], 2)
+    def solved(self, program):
+        objective, eq_rows, eq_rhs, le_rows, le_rhs, _ = \
+            self.PROGRAMS[program]
+        return solve(LinearProgram(n=3, objective=objective,
+                                   eq_rows=eq_rows, eq_rhs=eq_rhs,
+                                   le_rows=le_rows, le_rhs=le_rhs))
 
+    @pytest.mark.parametrize("program", ["int", "fraction"])
+    def test_optimum_passes(self, program):
+        result = self.solved(program)
+        assert result.value == 2 * self.PROGRAMS[program][-1]
+        assert result.x == (1, 1, 0)
+        for den in (1, 3):
+            self.check(program, [1, 1, 0], 2, den)
+
+    @pytest.mark.parametrize("program", ["int", "fraction"])
+    @pytest.mark.parametrize("den", [1, 3])
     @pytest.mark.parametrize("x, value, message", [
         ([2, 1, -1], 3, "negative variable"),
         ([1, 0, 0], 1, "violates an equality"),
@@ -900,9 +937,29 @@ class TestSolutionCheck:
         ([1, 1, 0], 3, "objective value mismatch"),
         ([0, 0, 2], 1, "objective value mismatch"),
     ])
-    def test_corrupted_solution_is_rejected(self, x, value, message):
+    def test_corrupted_solution_is_rejected(self, program, den, x, value,
+                                            message):
         with pytest.raises(AssertionError, match=message):
-            self.check(x, value)
+            self.check(program, x, value, den)
+
+    @pytest.mark.parametrize("program", ["int", "fraction"])
+    @pytest.mark.parametrize("den, message", [
+        (2, "violates an equality"),
+        (-1, "negative variable"),
+        (0, "negative variable"),
+    ])
+    def test_corrupted_denominator_is_rejected(self, program, den, message):
+        # The optimum's numerators over den = 1, read over another den.
+        *rows, scale = self.PROGRAMS[program]
+        with pytest.raises(AssertionError, match=message):
+            exactlp._verify_solution(*rows, [1, 1, 0], den, 2 * scale)
+
+    def test_answer_is_fractions_on_an_integer_program(self):
+        # The renderers call format_rational on every answer entry.
+        result = self.solved("int")
+        assert all(type(v) is F for v in (result.value, *result.x))
+        assert [format_rational(v) for v in (result.value, *result.x)] == \
+            ["2", "1", "1", "0"]
 
 
 def checked_step(paths):
