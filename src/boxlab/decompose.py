@@ -39,14 +39,18 @@ covering support whose columns are dependent, or do not span the target, is
 refuted by fraction-free elimination).  The span test runs on vectors as
 long as the rank of the candidates and the target: the rows kept are a row
 basis of the whole cell system, target column included, so no linear
-relation is lost.  Each level is walked prefix by prefix in
-``itertools.combinations`` order; a prefix is reduced once, reusing the
-part it shares with the previous one, and each last index that completes
-the cover costs one elimination step and a proportionality test.  One
-integer eliminator serves the span test, the survivors' weights
-(back-substituted in integers; ``Fraction`` appears only in the final
-quotients), the rank behind the cap and the affine dimensions, with the
-exact simplex's step and integer scaling.
+relation is lost.  Each support size is one depth-first descent in
+``itertools.combinations`` order that carries each depth's cover mask and
+elimination state, and prunes a prefix whose newest column is dependent or
+whose mask, with every later candidate's, cannot complete the cover.  A
+vector is one int of fixed-width signed lanes, sized by a Hadamard bound
+on the candidates' minors, so an elimination step is a few whole-int
+operations; the target enters modulo a prime, and every support that
+passes the modular test is confirmed exactly.  One integer eliminator
+serves that confirmation, the survivors' weights (back-substituted in
+integers; ``Fraction`` appears only in the final quotients), the rank
+behind the cap and the affine dimensions, with the exact simplex's step
+and integer scaling.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, isqrt
 from operator import attrgetter
 from typing import Callable, NamedTuple, Sequence
 
@@ -468,6 +472,12 @@ class DimensionResult:
     up to ``dimension`` was refuted before the node budget would have been
     exceeded, so the true minimum is at least ``dimension + 1`` and
     ``decomposition`` is None.
+
+    ``filtered_count`` is the number of candidate vertices, those with
+    mass only on the target's positive cells.  ``nodes_used`` counts
+    supports in ``itertools.combinations`` order, size by size from the
+    coverage floor: all of a refuted size, the ones pruned in whole ranges
+    included, and at a hit the supports up to and including it.
     """
 
     dimension: int
@@ -483,37 +493,48 @@ _dimension_cache: dict[tuple, DimensionResult] = {}
 _DIMENSION_CACHE_CAPACITY = 1024
 
 
+#: The prime modulus of the target's images in the span test; every support
+#: that passes the test modulo it is confirmed exactly.
+_SPAN_PRIME = 65521
+
+
 class _SpanFilter:
-    """Integer refutation of supports, reusing each prefix's elimination.
+    """Integer span test of supports, one depth-first descent per size.
 
     A support is refuted when its columns (cell indicators plus the sum row)
     are linearly dependent or the target lies outside their span; otherwise
     it has unique weights (:meth:`weights`).  Refuting dependent columns is
-    exact in the level search: it reaches size k only after refuting every
-    smaller support, and a nonnegative solution on dependent columns would
-    give one (moving along a null vector drives a weight to zero).
+    exact in the search: it reaches size k only after refuting every smaller
+    support, and a nonnegative solution on dependent columns would give one
+    (moving along a null vector drives a weight to zero).
 
     The vectors are rank-sized.  One fraction-free (Bareiss) echelon pass
     over the rows of ``[cell rows; sum row | scaled target]`` keeps the rows
     that become pivots, and every candidate column and the target keep only
-    their entries there.  The other rows are combinations of the kept ones,
-    so a combination of columns and target that vanishes on the kept rows
-    vanishes everywhere: every linear relation among them survives, also
-    when the target lies outside the candidates' span.  The pivots in
-    candidate columns count the candidates' rank, :attr:`rank`.
+    their entries there (:attr:`columns`, :attr:`target`).  The other rows
+    are combinations of the kept ones, so a combination of columns and
+    target that vanishes on the kept rows vanishes everywhere: every linear
+    relation among them survives, also when the target lies outside the
+    candidates' span.  The pivots in candidate columns count the
+    candidates' rank, :attr:`rank`.
 
-    A support is entered as a prefix (:meth:`enter`) and then tested one
-    last column at a time (:meth:`spans`), in the order the search walks
-    them.  Prefix columns are reduced one at a time in Python ints, the
-    target scaled by the lcm of its denominators.  The reduced rows and
-    target of every prefix of the last prefix stay, so a prefix sharing
-    its start with it reduces only its new suffix; a candidate already
-    reduced against a kept prefix resumes from there.  A last column costs
-    one more step and a proportionality test: the prefix and column ``j``
-    span the target iff the reduced target is a multiple of ``j``'s
-    reduced column, the residual a pivot on it would leave.  The state
-    lives for one search: at most ``rank`` pivots and targets, and
-    ``rank + 1`` maps of reduced candidates.
+    The descent (:meth:`spanning`) works on packed vectors: one int of
+    fixed-width signed lanes, lane ``i`` holding the entry of kept row
+    ``i``.  A Bareiss step ``(u*p - g*v) // d`` is then a few operations on
+    whole ints, since the exact division of every lane is the exact
+    division of the int; a vector is zero when its int is, and its pivot
+    lane, its first nonzero one, holds its lowest set bit.  Every entry of
+    a reduced candidate column is a minor of the 0/1 columns on ``r`` kept
+    rows, so at most the Hadamard bound ``hc = r**(r/2)``.  The target
+    enters as its scaled entries reduced modulo the prime
+    :data:`_SPAN_PRIME` ``Q``.  The step is linear, with candidate minors
+    as coefficients, and divides exactly on any integer vector, so it maps
+    the reduced images to images of the true reduced target modulo ``Q``,
+    each entry a sum of at most ``r`` terms below ``hc*Q``, whatever the
+    target's denominators.  A lane holds ``r*hc*Q`` and a sign bit: 37
+    bits on the noisy boxes, 35 on their Bell marginals.  A support whose
+    image residual is nonzero modulo ``Q`` is refuted, which a true span
+    never gives, and :meth:`weights` confirms every other support exactly.
     """
 
     def __init__(self, table: _CellTable):
@@ -526,85 +547,145 @@ class _SpanFilter:
         #: Rank of the candidate columns: their hull's affine dimension
         #: plus one, the Caratheodory cap.
         self.rank = sum(pc < n for _, (pc, *_) in basis)
+        self.columns = [[rows[r][j] for r in keep] for j in range(n)]
+        self.target = [rows[r][-1] for r in keep]
         self._scale = scale
-        self._path: list[int] = []   # the last prefix entered
-        # One pivot (column, value, previous pivot value, reduced row) per
-        # independent prefix column; _targets[i] is the target and
-        # _reduced[i][j] candidate j reduced against the first i pivots.
-        self._pivots: list[tuple[int, int, int, list[int]]] = []
-        self._targets = [[rows[r][-1] for r in keep]]
-        self._reduced = [{j: [rows[r][j] for r in keep] for j in range(n)}]
+        self._colbits = table.colbits
+        self._prime = prime = _SPAN_PRIME
+        r = len(keep)
+        hadamard = isqrt(r ** r - 1) + 1
+        #: Bits per lane of a packed vector.
+        self.width = (r * hadamard * prime).bit_length() + 1
+        self._half = 1 << (self.width - 1)
+        self._lane_mask = (1 << self.width) - 1
+        # Adding half to every lane makes each one nonnegative, so a lane
+        # reads off with a shift and a mask.
+        self._bias = self.pack([self._half] * r)
+        self._packed = [self.pack(column) for column in self.columns]
+        self._packed_target = self.pack([t % prime for t in self.target])
 
-    def enter(self, prefix: Sequence[int]) -> bool:
-        """Reduce the candidates ``prefix`` names; False when their columns
-        are dependent, so that every support extending them is refuted."""
-        path, pivots, targets = self._path, self._pivots, self._targets
-        reduced = self._reduced
-        keep = 0
-        for old, new in zip(path, prefix):
-            if old != new:
-                break
-            keep += 1
-        if keep > len(pivots):
-            return False  # the shared prefix already holds a dependent column
-        del path[keep:], pivots[keep:], targets[keep + 1:], reduced[keep + 1:]
-        for j in prefix[keep:]:
-            path.append(j)
-            v = self._column(j)
-            for pc, x in enumerate(v):
-                if x:
-                    break
-            else:
-                return False  # column j lies in the span of the prefix
-            pivot = (pc, x, pivots[-1][1] if pivots else 1, v)
-            pivots.append(pivot)
-            targets.append(_bareiss_step(targets[-1], pivot))
-            reduced.append({})
-        return True
-
-    def spans(self, j: int) -> bool:
-        """Whether the entered prefix and candidate ``j`` have independent
-        columns that span the target."""
-        v = self._column(j)
-        for pc, p in enumerate(v):
-            if p:
-                break
-        else:
-            return False
-        target = self._targets[-1]
-        f = target[pc]
-        return not any(x * p != f * y for x, y in zip(target, v))
-
-    def _column(self, j: int) -> list[int]:
-        """Candidate ``j`` reduced against every pivot of the entered prefix,
-        resumed from the deepest kept reduction."""
-        pivots, reduced = self._pivots, self._reduced
-        start = len(pivots)
-        while j not in reduced[start]:
-            start -= 1
-        v = reduced[start][j]
-        for level in range(start, len(pivots)):
-            v = _bareiss_step(v, pivots[level])
-            reduced[level + 1][j] = v
+    def pack(self, entries: Sequence[int]) -> int:
+        """The packed vector of ``entries``, each less than half a lane."""
+        v = 0
+        for x in reversed(entries):
+            v = (v << self.width) + x
         return v
 
-    def weights(self, subset: Sequence[int]) -> list[Fraction]:
-        """The unique weights of a support that :meth:`enter` and
-        :meth:`spans` passed.
+    def unpack(self, v: int) -> list[int]:
+        """The entries of the packed vector ``v``, lane by lane."""
+        return [self._lane(v, self.width * i)
+                for i in range(len(self.target))]
 
-        Its columns are independent and span the target, so the integer
-        system (kept rows, target scaled) echelons to one pivot per column
-        and the rows past the last pivot add nothing.  The last pivot value
-        d is the determinant of the pivot rows, so by Cramer's rule d times
-        each scaled weight is an integer, and back-substitution in those
-        integers divides exactly.
+    def _lane(self, v: int, shift: int) -> int:
+        """The entry of the packed vector ``v`` in the lane at bit
+        ``shift``."""
+        return ((v + self._bias) >> shift & self._lane_mask) - self._half
+
+    def _pivot(self, v: int) -> tuple[int, int]:
+        """``(shift, p)``: the bit where the first nonzero lane of the packed
+        vector ``v`` starts, the lane of its lowest set bit, and its entry
+        ``p``."""
+        low = (v & -v).bit_length() - 1
+        shift = low - low % self.width
+        return shift, self._lane(v, shift)
+
+    def spanning(self, k: int, full_mask: int):
+        """Every support of ``k`` candidates, in ``itertools.combinations``
+        order, whose cover masks jointly hold ``full_mask`` and whose
+        columns are independent and span the target, with its weights (of
+        either sign).
+
+        The descent carries, for the path of candidates chosen so far, its
+        cover mask, the target's image and the later candidates whose
+        columns are independent of the path's, each reduced against it.  A
+        path is pruned when its newest column depends on the earlier ones,
+        or when its mask and every later candidate's cannot cover
+        ``full_mask``; at the last slot a candidate must complete the cover.
         """
-        columns = [self._reduced[0][j] for j in subset]
+        colbits, prime, path = self._colbits, self._prime, []
+
+        def descend(live, cover, target, d, slots):
+            if slots == 1:
+                image = target % prime
+                for j, v in live:
+                    shift, p = self._pivot(v)
+                    f = self._lane(target, shift)
+                    # The residual a pivot on v would leave of the target,
+                    # modulo the prime: target * p - f * v.
+                    if (image * p - f * (v % prime)) % prime:
+                        continue
+                    subset = (*path, j)
+                    q = self.weights(subset)
+                    if q is not None:
+                        yield subset, q
+                return
+            reach = [0] * (len(live) + 1)
+            for pos in range(len(live) - 1, 0, -1):
+                reach[pos] = reach[pos + 1] | colbits[live[pos][0]]
+            for pos in range(len(live) - slots + 1):
+                covered = cover | colbits[live[pos][0]]
+                if (covered | reach[pos + 1]) & full_mask != full_mask:
+                    continue
+                need = full_mask & ~covered if slots == 2 else 0
+                step = self._extend(live, pos, target, d, need)
+                if step is not None and len(step[2]) >= slots - 1:
+                    path.append(live[pos][0])
+                    yield from descend(step[2], covered, step[1], step[0],
+                                       slots - 1)
+                    path.pop()
+
+        need = full_mask if k == 1 else 0
+        yield from descend(
+            [(j, v) for j, v in enumerate(self._packed)
+             if colbits[j] & need == need], 0, self._packed_target, 1, k)
+
+    def _extend(self, live, pos: int, target: int, d: int, need: int):
+        """One Bareiss step on the packed vectors, pivoting on the column of
+        ``live[pos]``, ``d`` the path's previous pivot value: ``(p, target,
+        later)``, ``p`` the new pivot value, ``target`` the reduced image and
+        ``later`` the candidates after ``live[pos]`` that cover ``need``,
+        each reduced, without those whose column becomes 0; None when no
+        later candidate covers ``need``."""
+        later = live[pos + 1:]
+        if need:
+            colbits = self._colbits
+            later = [(j, u) for j, u in later if colbits[j] & need == need]
+            if not later:
+                return None
+        half, lane_mask, bias = self._half, self._lane_mask, self._bias
+        v = live[pos][1]
+        shift, p = self._pivot(v)
+        reduced = []
+        for j, u in later:
+            g = ((u + bias) >> shift & lane_mask) - half  # _lane, inlined
+            if g:
+                u = (u * p - g * v) // d
+            elif p != d:
+                u = u * p // d
+            if u:
+                reduced.append((j, u))
+        f = self._lane(target, shift)
+        return p, (target * p - f * v) // d, reduced
+
+    def weights(self, subset: Sequence[int]) -> list[Fraction] | None:
+        """The unique weights of a support, or None when its columns are
+        dependent or the target lies outside their span.
+
+        The integer system (kept rows, target scaled) echelons to one pivot
+        per column and none in the target's exactly when the weights exist
+        and are unique; the rows past the last pivot then add nothing.  The
+        last pivot value d is the determinant of the pivot rows, so by
+        Cramer's rule d times each scaled weight is an integer, and
+        back-substitution in those integers divides exactly.
+        """
+        k = len(subset)
+        columns = [self.columns[j] for j in subset]
         pivots = [pivot for _, pivot in _echelon(
-            [list(row) for row in zip(*columns, self._targets[0])],
-            len(subset))]
+            [list(row) for row in zip(*columns, self.target)], k + 1)]
+        if sorted(pc for pc, *_ in pivots) != list(range(k)):
+            return None
         d = pivots[-1][1]
-        x = [0] * len(subset)
+        x = [0] * k
         for pc, p, _, row in reversed(pivots):
             x[pc] = (d * row[-1] - sum(a * b for a, b in zip(row, x))) // p
         return [Fraction(v, d * self._scale) for v in x]
@@ -616,11 +697,11 @@ def _echelon(rows, rank: int | None = None
 
     Each row is reduced against the pivots before it and, unless cleared,
     becomes the next pivot (column, value, previous pivot value, row) in the
-    form :func:`~boxlab.exactlp._bareiss_step` takes and :class:`_SpanFilter`
-    keeps, zero at every earlier pivot's column.  Each pivot comes paired
-    with the index of the row it came from, so the pivots count the rank and
-    name a basis of the rows.  A known ``rank`` stops the walk at that many
-    pivots.  The rows must hold ints: the exact division is floor division.
+    form :func:`~boxlab.exactlp._bareiss_step` takes, zero at every earlier
+    pivot's column.  Each pivot comes paired with the index of the row it
+    came from, so the pivots count the rank and name a basis of the rows.
+    A known ``rank`` stops the walk at that many pivots.  The rows must
+    hold ints: the exact division is floor division.
     """
     basis: list[int] = []
     pivots: list[tuple[int, int, int, list[int]]] = []
@@ -636,19 +717,35 @@ def _echelon(rows, rank: int | None = None
     return list(zip(basis, pivots))
 
 
+def _combination_rank(subset: Sequence[int], n: int) -> int:
+    """The index of ``subset`` in ``itertools.combinations(range(n), k)``,
+    ``k = len(subset)``: every support after it agrees with it up to some
+    position ``i`` and takes a larger index there, with the ``k - i``
+    indices from ``subset[i]`` on all above ``subset[i]``."""
+    k = len(subset)
+    return comb(n, k) - 1 - sum(comb(n - 1 - c, k - i)
+                                for i, c in enumerate(subset))
+
+
 def _min_subset_search(table: _CellTable, budget: int, target,
                        vs: _VertexSet) -> DimensionResult:
-    """Level walk from the coverage floor up to the Caratheodory cap.
+    """Level search from the coverage floor up to the Caratheodory cap.
 
-    Level k visits the supports of ``itertools.combinations(range(n), k)``
-    in that order, as each prefix of ``combinations(range(n - 1), k - 1)``
-    followed by its last index upward.  A prefix's cover mask is made once,
-    and its columns are reduced only when some last index completes the
-    cover.  A node is one support visited: a prefix stopped at a hit counts
-    the supports up to and including it.
+    Level k is one depth-first descent through the supports of
+    ``itertools.combinations(range(n), k)`` in that order
+    (:meth:`_SpanFilter.spanning`).  It prunes a prefix whose newest column
+    depends on the earlier ones, or whose cover mask, with every later
+    candidate's, cannot cover the target's cells.  A full support is
+    refuted when the target's image modulo the prime :data:`_SPAN_PRIME`
+    leaves a residual on its packed columns, whose lanes are sized by a
+    Hadamard bound; every other support is confirmed exactly, and the
+    descent stops at the first with nonnegative weights.  A node is one
+    support in that order, visited or pruned with its whole range: a
+    refuted level counts ``comb(n, k)`` nodes, and a hit the supports up to
+    and including it, one more than its index in the order.  A level runs
+    only when all its nodes fit in the budget.
     """
     n = len(table.ids)
-    colbits, full_mask = table.colbits, table.full_mask
     # Every vertex covers exactly one cell per context, so a feasible support
     # needs at least as many vertices as the largest per-context cell count.
     k_floor = max(table.context_cell_counts)
@@ -660,34 +757,19 @@ def _min_subset_search(table: _CellTable, budget: int, target,
     for k in range(k_floor, cap + 1):
         if nodes + comb(n, k) > budget:
             return DimensionResult(k - 1, LOWER_BOUND_ONLY, None, n, nodes)
-        for prefix in itertools.combinations(range(n - 1), k - 1):
-            start = prefix[-1] + 1 if prefix else 0
-            mask = 0
-            for j in prefix:
-                mask |= colbits[j]
-            need = full_mask ^ mask
-            covering = [j for j in range(start, n)
-                        if colbits[j] & need == need]
-            if not covering or not span.enter(prefix):
-                nodes += n - start
+        for subset, q in span.spanning(k, table.full_mask):
+            if any(w < 0 for w in q):
                 continue
-            for j in covering:
-                if not span.spans(j):
-                    continue
-                subset = (*prefix, j)
-                q = span.weights(subset)
-                if any(w < 0 for w in q):
-                    continue
-                if not all(q):
-                    # A nonnegative solution with a zero weight is a smaller
-                    # support, and every smaller support is refuted by now.
-                    raise AssertionError(
-                        "smaller support escaped the refuted levels")
-                terms = [(table.ids[i], w) for i, w in zip(subset, q)]
-                return DimensionResult(
-                    k, EXACT, _decomposition(terms, target, vs), n,
-                    nodes + j - start + 1)
-            nodes += n - start
+            if not all(q):
+                # A nonnegative solution with a zero weight is a smaller
+                # support, and every smaller support is refuted by now.
+                raise AssertionError(
+                    "smaller support escaped the refuted levels")
+            terms = [(table.ids[i], w) for i, w in zip(subset, q)]
+            return DimensionResult(
+                k, EXACT, _decomposition(terms, target, vs), n,
+                nodes + _combination_rank(subset, n) + 1)
+        nodes += comb(n, k)
     raise AssertionError(
         f"no decomposition within the Caratheodory cap {cap} ({vs.name})")
 

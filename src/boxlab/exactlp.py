@@ -319,13 +319,15 @@ def solve(lp: LinearProgram) -> LPResult:
     width = n + nslack
     m = len(rows)
     # Row r starts on its slack, column n + r - m_eq, when that slack keeps
-    # its +1 after the sign flip below, else on an artificial column.
-    artificial = [r for r in range(m) if r < m_eq or rhs[r] < 0]
+    # its +1 after the sign flip below, else on an artificial column.  The
+    # sign of an int or Fraction is its numerator's.
+    flip = [v.numerator < 0 for v in rhs]
+    artificial = [r for r in range(m) if r < m_eq or flip[r]]
     initial = [n + r - m_eq for r in range(m)]
     for k, r in enumerate(artificial):
         initial[r] = width + k
     for r in range(m):
-        if rhs[r] < 0:
+        if flip[r]:
             rows[r] = [-v for v in rows[r]]
             rhs[r] = -rhs[r]
 
@@ -345,7 +347,7 @@ def solve(lp: LinearProgram) -> LPResult:
     if lp.start is None:
         tableau = _Tableau(cold, list(initial), n, s)
     else:
-        tableau = _continued(lp.start.tableau, rows, rhs, cold, n, s, t)
+        tableau = _continued(lp.start.tableau, rows, rhs, b, cold, n, s, t)
 
     # --- phase 1 ----------------------------------------------------------
     if artificial:
@@ -357,7 +359,7 @@ def solve(lp: LinearProgram) -> LPResult:
             # The structural and slack columns cost 0 in phase 1.  A
             # continued tableau is the cold one after more pivots, so its
             # dual reads the same way.
-            _verify_dual(rows, rhs, _dual(tableau, c, initial), s,
+            _verify_dual(rows, b, t, _dual(tableau, c, initial), s,
                          [0] * width)
             return LPResult(INFEASIBLE)
 
@@ -399,7 +401,7 @@ def solve(lp: LinearProgram) -> LPResult:
         return LPResult(OPTIMAL, value, x)
     # The minimized objective is c . x / u = sign * value.
     d = tableau.d
-    _verify_dual(rows, rhs, _dual(tableau, c, initial), s,
+    _verify_dual(rows, b, t, _dual(tableau, c, initial), s,
                  [d * v for v in c[:width]], d * u * sign * value)
     return LPResult(OPTIMAL, value, x, _Final(rows, rhs, t, tableau))
 
@@ -412,13 +414,13 @@ def _dual(tableau: _Tableau, c: list[int], initial: list[int]) -> list[int]:
 
 
 def _continued(final: _Final | None, rows: list[list[Fraction]],
-               rhs: list[Fraction], cold: list[list[int]], n: int, s: int,
-               t: int) -> _Tableau:
+               rhs: list[Fraction], b: list[int], cold: list[list[int]],
+               n: int, s: int, t: int) -> _Tableau:
     """The cold tableau ``cold`` of an all-equality program after the pivots
     that solved the program of ``final``; raises :class:`MalformedProgram`
     unless this program extends it (see :func:`solve`).  A new row whose
-    right-hand side is negative there is negated, in ``rows`` and ``rhs``
-    too, as a cold start negates one."""
+    right-hand side is negative there is negated, in ``rows``, ``rhs`` and
+    the scaled right-hand side ``b`` too, as a cold start negates one."""
     if final is None:
         raise MalformedProgram(
             "start is not a solved program of <= rows with nonnegative "
@@ -452,7 +454,7 @@ def _continued(final: _Final | None, rows: list[list[Fraction]],
             # The row of the program with row r negated, as a cold start
             # negates a row with rhs < 0, so its artificial starts >= 0:
             # every entry negates but the artificial's own d.
-            rows[r], rhs[r] = [-v for v in rows[r]], -rhs[r]
+            rows[r], rhs[r], b[r] = [-v for v in rows[r]], -rhs[r], -b[r]
             new = [-v for v in new]
             new[n + r] = old.d
         continued.append(new)
@@ -460,17 +462,18 @@ def _continued(final: _Final | None, rows: list[list[Fraction]],
                     old.d)
 
 
-def _verify_dual(rows: list[list[Fraction]], rhs: list[Fraction],
+def _verify_dual(rows: list[list[Fraction]], b: list[int], t: int,
                  y: list[int], s: int, costs: list[int],
                  optimum: Fraction | None = None) -> None:
-    """Check the dual certificate ``y`` for ``rows x = rhs, x >= 0``.
+    """Check the dual certificate ``y`` for ``rows x = rhs, x >= 0``, with
+    ``b / t`` the right-hand side scaled by ``s``: ``s * rhs``.
 
     ``s * y . a_j <= costs[j]`` on every column makes ``s * y . rhs`` a lower
     bound on ``costs . x`` for every feasible x: ``costs . x >= s * y . A x =
-    s * y . rhs``.  With ``optimum``, the value of ``costs . x`` at a feasible
-    x, the bound must equal it, which proves x minimal.  Without one,
-    ``costs`` is 0 and the bound must exceed 0, which leaves no feasible x
-    (Farkas).
+    s * y . rhs``, which is ``y . b / t``.  With ``optimum``, the value of
+    ``costs . x`` at a feasible x, the bound must equal it, which proves x
+    minimal.  Without one, ``costs`` is 0 and the bound must exceed 0, which
+    leaves no feasible x (Farkas).
     """
     # y . A, summed over the rows where y is nonzero (most are 0).
     ya = [0] * len(costs)
@@ -482,10 +485,11 @@ def _verify_dual(rows: list[list[Fraction]], rhs: list[Fraction],
     for j, cost in enumerate(costs):
         if s * ya[j] > cost:
             raise AssertionError(f"dual certificate fails on column {j}")
-    bound = s * sum(yr * b for yr, b in zip(y, rhs))
+    # t * bound, in integers: t > 0 keeps its sign.
+    bound = sum(yr * br for yr, br in zip(y, b) if yr)
     if optimum is None and bound <= 0:
         raise AssertionError("infeasibility certificate has y.b <= 0")
-    if optimum is not None and bound != optimum:
+    if optimum is not None and bound != optimum * t:
         raise AssertionError("optimality certificate has y.b != optimum")
 
 

@@ -52,7 +52,8 @@ from boxlab.decompose import (
     product_terms_marginal,
 )
 from boxlab.errors import BoxParseError, ParameterOutOfRange
-from boxlab.exactlp import INFEASIBLE, LinearProgram, LPResult, solve
+from boxlab.exactlp import (INFEASIBLE, LinearProgram, LPResult,
+                            _bareiss_step, solve)
 from boxlab.quantum import make_observables, make_state, quantum_box
 from boxlab.scenario import bell_marginal, mix_boxes, validate_bell_marginal
 from boxlab.vertices import det_box, enumerate_local_vertices, enumerate_nc_vertices
@@ -1059,9 +1060,10 @@ class TestPinnedSearches:
         assert labels(result) == "0000 0001 0100 0101 1010 1111"
 
     def test_span_filter_spares_the_solves(self, monkeypatch):
-        # Without the filter all 9,170 covering supports of this search reach
-        # the weights routine; a timing test would not reliably notice the
-        # filter going missing.
+        # Counts the exact confirmations.  Without the modular span test all
+        # 9,170 covering supports of this search would reach them; with it
+        # 161 do.  A timing test would not reliably notice the test going
+        # missing.
         calls = []
         weights = decompose._SpanFilter.weights
 
@@ -1138,9 +1140,9 @@ class TestRankSizedSpanFilter:
         span = decompose._SpanFilter(table)
         assert span.rank == 3
         for k in range(1, 4):
+            assert list(span.spanning(k, 0)) == [], k
             for subset in itertools.combinations(range(3), k):
-                assert not (span.enter(subset[:-1])
-                            and span.spans(subset[-1])), subset
+                assert span.weights(subset) is None, subset
         assert_span_filter_matches_ranks(table, 3)
 
     # The cell system has one row per support cell plus the sum row.
@@ -1153,8 +1155,175 @@ class TestRankSizedSpanFilter:
         span = decompose._SpanFilter(table)
         assert len(table.rhs) + 1 == rows
         assert span.rank == rank
-        assert {len(v) for v in span._reduced[0].values()} == {rank}
-        assert len(span._targets[0]) == rank
+        assert {len(column) for column in span.columns} == {rank}
+        assert len(span.target) == rank
+
+
+def dense_columns_table(seed):
+    """The cell table of ``test_span_filter_on_random_dense_columns``: ten
+    random 0/1 columns over 8 cells, the target a mixture of four."""
+    rng = random.Random(seed)
+    colbits = tuple(rng.randrange(1, 1 << 8) for _ in range(10))
+    weights = [Fraction(rng.randint(1, 50), 200) for _ in range(3)]
+    weights.append(1 - sum(weights))
+    mixed = [colbits[j] for j in rng.sample(range(10), 4)]
+    return bits_table(colbits, mixed, weights, 8)
+
+
+# The mixtures of ``TestSearchMatchesReferenceWalk`` whose weights have
+# Mersenne-prime denominators.
+MERSENNE_MIXTURES = [(vs, size) for vs, size in REFERENCE_MIXTURES
+                     if size % 2 == 1]
+
+
+def assert_packed_steps_match_lists(span, steps):
+    """Every recorded packed step unpacks, lane for lane, to the list step
+    on the unpacked vectors: the new pivot, the target's image and every
+    later candidate, of which exactly the nonzero ones that cover the
+    step's mask stay (a step is skipped only when none covers it).  Each
+    vector also packs back to itself, so no lane outgrew the width."""
+    for live, pos, target, d, need, step in steps:
+        if step is None:
+            assert not any(span._colbits[j] & need == need
+                           for j, _ in live[pos + 1:])
+            continue
+        p, image, later = step
+        row = span.unpack(live[pos][1])
+        pc = next(c for c, x in enumerate(row) if x)
+        assert p == row[pc]
+        pivot = (pc, p, d, row)
+        assert span.unpack(image) == _bareiss_step(span.unpack(target),
+                                                   pivot)
+        expected = []
+        for j, u in live[pos + 1:]:
+            reduced = _bareiss_step(span.unpack(u), pivot)
+            if span._colbits[j] & need == need and any(reduced):
+                expected.append((j, reduced))
+        assert [(j, span.unpack(u)) for j, u in later] == expected
+        for v in (image, *(u for _, u in later)):
+            assert span.pack(span.unpack(v)) == v
+
+
+class TestPackedDescent:
+    @staticmethod
+    def record(monkeypatch):
+        """Record every packed step of the descents that follow."""
+        steps = []
+        extend = decompose._SpanFilter._extend
+
+        def recording(span, live, pos, target, d, need):
+            result = extend(span, live, pos, target, d, need)
+            steps.append((live, pos, target, d, need, result))
+            return result
+
+        monkeypatch.setattr(decompose._SpanFilter, "_extend", recording)
+        return steps
+
+    @pytest.mark.parametrize("seed", [2, 7])
+    def test_packed_steps_on_random_dense_columns(self, monkeypatch, seed):
+        steps = self.record(monkeypatch)
+        table = dense_columns_table(seed)
+        span = decompose._SpanFilter(table)
+        assert span.unpack(span._packed_target) == [
+            t % decompose._SPAN_PRIME for t in span.target]
+        assert [span.unpack(v) for v in span._packed] == span.columns
+        for k in range(1, 6):
+            list(span.spanning(k, 0))
+            list(span.spanning(k, table.full_mask))
+        assert steps
+        assert_packed_steps_match_lists(span, steps)
+
+    @pytest.mark.parametrize("vs, size", MERSENNE_MIXTURES,
+                             ids=[f"{vs.name}-{size}"
+                                  for vs, size in MERSENNE_MIXTURES])
+    def test_packed_steps_on_mersenne_mixtures(self, monkeypatch, vs, size):
+        steps = self.record(monkeypatch)
+        target = random_mixture(random.Random(f"{vs.name}-{size}"), vs,
+                                size, big=True)
+        table = decompose._cell_table(target, vs)
+        span = decompose._SpanFilter(table)
+        for k in range(1, 4):
+            list(span.spanning(k, 0))
+        assert span.unpack(span._packed_target) == [
+            t % decompose._SPAN_PRIME for t in span.target]
+        # The search's own steps, with its cover masks and its filter.
+        decompose._min_subset_search(table, 200_000, target, vs)
+        assert_packed_steps_match_lists(span, steps)
+
+    # With a prime of 2 or 3 many supports pass the modular test without
+    # spanning the target; the exact confirmation must refute every one.
+    @pytest.mark.parametrize("vs, size", REFERENCE_MIXTURES,
+                             ids=[f"{vs.name}-{size}"
+                                  for vs, size in REFERENCE_MIXTURES])
+    def test_tiny_primes_match_the_reference_walk(self, monkeypatch, vs,
+                                                  size):
+        rng = random.Random(f"{vs.name}-{size}")
+        target = random_mixture(rng, vs, size, big=size % 2 == 1)
+        table = decompose._cell_table(target, vs)
+        for budget in (0, 2_000, 200_000):
+            expected = reference_search(table, budget, target, vs)
+            for prime in (2, 3):
+                monkeypatch.setattr(decompose, "_SPAN_PRIME", prime)
+                assert decompose._min_subset_search(
+                    table, budget, target, vs) == expected, (budget, prime)
+
+    def test_tiny_prime_sends_false_passes_to_the_confirmation(
+            self, monkeypatch):
+        calls = []
+        weights = decompose._SpanFilter.weights
+
+        def counting(span, subset):
+            q = weights(span, subset)
+            calls.append(q is None)
+            return q
+
+        monkeypatch.setattr(decompose._SpanFilter, "weights", counting)
+        monkeypatch.setattr(decompose, "_SPAN_PRIME", 2)
+        box = noisy_peres_box("1/4")
+        table = decompose._cell_table(box, decompose._NC)
+        result = decompose._min_subset_search(table, 200_000, box,
+                                              decompose._NC)
+        assert (labels(result), result.nodes_used) == (NOISY_QUARTER_SUPPORT,
+                                                       38_854)
+        assert sum(calls) > 0
+
+    # The search reaches size k only after refuting every smaller support,
+    # so confirmed weights with a zero are a fault; the check is a raise,
+    # not an assert, and holds under python -O.
+    def test_zero_weight_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            decompose._SpanFilter, "weights",
+            lambda span, subset: [Fraction(0)] * (len(subset) - 1)
+            + [Fraction(1)])
+        box = noisy_peres_box("1/4")
+        table = decompose._cell_table(box, decompose._NC)
+        with pytest.raises(AssertionError, match="smaller support escaped"):
+            decompose._min_subset_search(table, 200_000, box, decompose._NC)
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_combination_rank_is_the_index_in_order(self, n):
+        for k in range(n + 1):
+            for index, subset in enumerate(
+                    itertools.combinations(range(n), k)):
+                assert decompose._combination_rank(subset, n) == index
+
+    # The levels of the W=1/4 search hold comb(16, k) supports for k = 4..9;
+    # a level runs only when all of it fits the budget.
+    @pytest.mark.parametrize("budget, dimension, status, nodes", [
+        (1_819, 3, LOWER_BOUND_ONLY, 0),
+        (1_820, 4, LOWER_BOUND_ONLY, 1_820),
+        (49_945, 8, LOWER_BOUND_ONLY, 38_506),
+        (49_946, 9, EXACT, 38_854),
+    ])
+    def test_budget_boundaries_on_noisy_quarter(self, budget, dimension,
+                                                status, nodes):
+        box = noisy_peres_box("1/4")
+        table = decompose._cell_table(box, decompose._NC)
+        result = decompose._min_subset_search(table, budget, box,
+                                              decompose._NC)
+        assert (result.dimension, result.status, result.nodes_used) == (
+            dimension, status, nodes)
+        assert result == reference_search(table, budget, box, decompose._NC)
 
 
 def bits_table(colbits, mixed, weights, n_rows):
@@ -1169,16 +1338,18 @@ def bits_table(colbits, mixed, weights, n_rows):
 
 
 def assert_span_filter_matches_ranks(table, max_size):
-    """Feed every subset up to ``max_size`` in combinations order, covering or
-    not, so that the reused prefixes meet dependent columns and changes at
-    every depth; the filter must refute exactly the rank failures, and every
-    other subset's weights must be the Fraction solve's."""
+    """Descend through every subset up to ``max_size``, covering or not (no
+    cell to cover), so that the pruning meets dependent columns at every
+    depth; the descent must yield exactly the subsets without a rank
+    failure, in combinations order, each with the Fraction solve's weights,
+    and the exact confirmation must refute every other subset."""
     span = decompose._SpanFilter(table)
     columns, rhs = cell_system(table)
     for k in range(1, max_size + 1):
+        expected = []
         for subset in itertools.combinations(range(len(table.ids)), k):
             q = fraction_solve([columns[j] for j in subset], rhs)
-            passes = span.enter(subset[:-1]) and span.spans(subset[-1])
-            assert passes == (q is not None), subset
+            assert span.weights(subset) == q, subset
             if q is not None:
-                assert span.weights(subset) == q, subset
+                expected.append((subset, q))
+        assert list(span.spanning(k, 0)) == expected, k

@@ -715,15 +715,23 @@ class TestContinuation:
             solve(lp)
 
 
+def verify_dual(rows, rhs, y, s, costs, optimum=None):
+    """``exactlp._verify_dual`` on the standard-form right-hand side
+    ``rhs``, scaled to integers ``b / t`` as ``solve`` scales it."""
+    t, b = exactlp._integers([s * v for v in rhs])
+    exactlp._verify_dual(rows, b, t, y, s, costs, optimum)
+
+
 def dual_checks(lp, monkeypatch):
     """``(result, checks)``: ``solve(lp)`` and the arguments ``(rows, rhs,
-    y, s, costs, optimum)`` of every dual check it made."""
+    y, s, costs, optimum)`` of every dual check it made, ``rhs`` the
+    standard-form right-hand side that its ``b / t`` is ``s`` times."""
     seen = []
     check = exactlp._verify_dual
 
-    def recording(rows, rhs, y, s, costs, optimum=None):
-        seen.append((rows, rhs, y, s, costs, optimum))
-        check(rows, rhs, y, s, costs, optimum)
+    def recording(rows, b, t, y, s, costs, optimum=None):
+        seen.append((rows, [F(v, t * s) for v in b], y, s, costs, optimum))
+        check(rows, b, t, y, s, costs, optimum)
 
     with monkeypatch.context() as mp:
         mp.setattr(exactlp, "_verify_dual", recording)
@@ -751,7 +759,7 @@ class TestInfeasibilityCertificate:
 
     @staticmethod
     def verify(rows, rhs, y, s):
-        exactlp._verify_dual(rows, rhs, y, s, [0] * len(rows[0]))
+        verify_dual(rows, rhs, y, s, [0] * len(rows[0]))
 
     @staticmethod
     def holds(rows, rhs, y, s):
@@ -868,7 +876,7 @@ class TestOptimalityCertificate:
                     perturbed += [[*y[:r], v + e, *y[r + 1:]] for e in (1, -1)]
             for bad in perturbed:
                 with pytest.raises(AssertionError, match="certificate"):
-                    exactlp._verify_dual(rows, rhs, bad, s, costs, optimum)
+                    verify_dual(rows, rhs, bad, s, costs, optimum)
             checked += 1
         assert checked == 2
 
