@@ -20,11 +20,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import errno
 import io
 import json
 import os
-import stat
 import sys
 from fractions import Fraction
 
@@ -124,9 +122,11 @@ def _write_text(text: str, path: str | None) -> None:
 
 def _check_output(path: str | None) -> None:
     """Raise the error :func:`_write_text` would raise for ``path`` when it
-    cannot be opened for writing, or stdout when it is closed, without
-    creating or truncating it, so a command fails before its work does.  A
-    new path ending in a separator is left to :func:`_write_text`."""
+    cannot be opened for writing, or stdout when it is closed, so a command
+    fails before its work does.  An existing path is opened without
+    truncating it; a new one is created and removed at once, so every error
+    is the kernel's own.  A dangling symbolic link, which the create refuses
+    as existing, is left to :func:`_write_text`."""
     if path is None or path == "-":
         if sys.stdout is None:
             raise BoxParseError("cannot write output file: stdout is closed")
@@ -134,16 +134,11 @@ def _check_output(path: str | None) -> None:
     try:
         if os.path.exists(path):
             os.close(os.open(path, os.O_WRONLY))
-        elif not path.endswith(os.sep):
-            parent = os.path.dirname(path) or "."
-            try:
-                mode = os.stat(parent).st_mode
-            except OSError as exc:
-                raise OSError(exc.errno, exc.strerror, path) from None
-            if not stat.S_ISDIR(mode):
-                raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
-            if not os.access(parent, os.W_OK | os.X_OK):
-                raise OSError(errno.EACCES, os.strerror(errno.EACCES), path)
+        else:
+            os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+            os.unlink(path)
+    except FileExistsError:
+        pass
     except OSError as exc:
         raise BoxParseError(f"cannot write output file: {exc}") from exc
 

@@ -264,9 +264,11 @@ class _CellTable(NamedTuple):
     ``cells[r]`` is support cell ``r`` as ``(i, j)``, entry ``j`` of
     distribution ``i``, and ``rhs[r]`` the target's value there;
     ``colbits[j]`` has bit ``r`` set iff candidate ``j`` puts its mass on
-    cell ``r``.  Candidates whose support leaves the target's support
-    cannot carry weight in any nonnegative decomposition (the target is 0
-    where they are 1), so dropping them is exact.
+    cell ``r``; ``rows[r]`` is cell ``r``'s 0/1 cover row, entry ``j``
+    set iff candidate ``j`` does, the row every LP and the span filter
+    build on.  Candidates whose support leaves the target's support cannot
+    carry weight in any nonnegative decomposition (the target is 0 where
+    they are 1), so dropping them is exact.
     """
 
     ids: tuple
@@ -275,6 +277,7 @@ class _CellTable(NamedTuple):
     rhs: tuple[Fraction, ...]
     full_mask: int
     context_cell_counts: tuple[int, ...]
+    rows: tuple[tuple[int, ...], ...]
 
 
 def _cell_table(target, vs: _VertexSet) -> _CellTable:
@@ -300,14 +303,10 @@ def _cell_table(target, vs: _VertexSet) -> _CellTable:
         else:
             ids.append(vid)
             colbits.append(bits)
+    rows = tuple(tuple([(bits >> r) & 1 for bits in colbits])
+                 for r in range(len(rhs)))
     return _CellTable(tuple(ids), tuple(colbits), tuple(cell_index),
-                      tuple(rhs), (1 << len(rhs)) - 1, tuple(counts))
-
-
-def _cover_rows(table: _CellTable) -> list[list[int]]:
-    """One 0/1 row per support cell: which candidates put mass on it."""
-    return [[(bits >> r) & 1 for bits in table.colbits]
-            for r in range(len(table.rhs))]
+                      tuple(rhs), (1 << len(rhs)) - 1, tuple(counts), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +384,8 @@ def _cost_lp(dists: tuple, vs: _VertexSet) -> tuple[_CellTable, LPResult]:
     one table and one solve in any call order."""
     table = _cell_table(vs.target(dists), vs)
     m = len(table.ids)
-    result = solve(LinearProgram(n=m, objective=[_ONE] * m, maximize=True,
-                                 le_rows=_cover_rows(table),
+    result = solve(LinearProgram(n=m, objective=[1] * m, maximize=True,
+                                 le_rows=table.rows,
                                  le_rhs=list(table.rhs)))
     if result.status != OPTIMAL:
         raise AssertionError(
@@ -437,7 +436,7 @@ def peres_strength(box: Box) -> PeresStrength:
     # integers by s keeps every row integer; the LP variable is then p/s,
     # with entry s in the objective and in the sum row.
     s, column = _integers([parity.contexts[i][j] for i, j in table.cells])
-    rows = [[*row, q] for row, q in zip(_cover_rows(table), column)]
+    rows = [[*row, q] for row, q in zip(table.rows, column)]
     result = solve(LinearProgram(
         n=m + 1, objective=[0] * m + [s], maximize=True,
         eq_rows=[*rows, [1] * m + [s]], eq_rhs=[*table.rhs, _ONE],
@@ -540,7 +539,7 @@ class _SpanFilter:
     def __init__(self, table: _CellTable):
         n = len(table.ids)
         scale, target = _integers(table.rhs)
-        rows = [[*row, t] for row, t in zip(_cover_rows(table), target)]
+        rows = [[*row, t] for row, t in zip(table.rows, target)]
         rows.append([1] * n + [scale])
         basis = _echelon(rows)
         keep = [r for r, _ in basis]
@@ -570,11 +569,6 @@ class _SpanFilter:
         for x in reversed(entries):
             v = (v << self.width) + x
         return v
-
-    def unpack(self, v: int) -> list[int]:
-        """The entries of the packed vector ``v``, lane by lane."""
-        return [self._lane(v, self.width * i)
-                for i in range(len(self.target))]
 
     def _lane(self, v: int, shift: int) -> int:
         """The entry of the packed vector ``v`` in the lane at bit
@@ -681,7 +675,7 @@ class _SpanFilter:
         k = len(subset)
         columns = [self.columns[j] for j in subset]
         pivots = [pivot for _, pivot in _echelon(
-            [list(row) for row in zip(*columns, self.target)], k + 1)]
+            [list(row) for row in zip(*columns, self.target)])]
         if sorted(pc for pc, *_ in pivots) != list(range(k)):
             return None
         d = pivots[-1][1]
@@ -691,8 +685,7 @@ class _SpanFilter:
         return [Fraction(v, d * self._scale) for v in x]
 
 
-def _echelon(rows, rank: int | None = None
-             ) -> list[tuple[int, tuple[int, int, int, list[int]]]]:
+def _echelon(rows) -> list[tuple[int, tuple[int, int, int, list[int]]]]:
     """Fraction-free (Bareiss) forward elimination of integer rows.
 
     Each row is reduced against the pivots before it and, unless cleared,
@@ -700,14 +693,11 @@ def _echelon(rows, rank: int | None = None
     form :func:`~boxlab.exactlp._bareiss_step` takes, zero at every earlier
     pivot's column.  Each pivot comes paired with the index of the row it
     came from, so the pivots count the rank and name a basis of the rows.
-    A known ``rank`` stops the walk at that many pivots.  The rows must
-    hold ints: the exact division is floor division.
+    The rows must hold ints: the exact division is floor division.
     """
     basis: list[int] = []
     pivots: list[tuple[int, int, int, list[int]]] = []
     for i, v in enumerate(rows):
-        if len(pivots) == rank:
-            break
         for pivot in pivots:
             v = _bareiss_step(v, pivot)
         pc = next((c for c, x in enumerate(v) if x), None)
@@ -752,7 +742,7 @@ def _min_subset_search(table: _CellTable, budget: int, target,
     if comb(n, k_floor) > budget:  # no level fits the budget: no filter
         return DimensionResult(k_floor - 1, LOWER_BOUND_ONLY, None, n, 0)
     span = _SpanFilter(table)
-    cap = min(n, span.rank)
+    cap = span.rank
     nodes = 0
     for k in range(k_floor, cap + 1):
         if nodes + comb(n, k) > budget:

@@ -592,15 +592,20 @@ class TestOutputCheckedFirst:
         return [str(box) if arg == "BOX" else arg
                 for arg in self.COMMANDS[command]] + ["-o", str(target)]
 
-    @pytest.mark.parametrize("target", ["missing-dir/out", "file/out", "dir",
-                                        "dir/"])
+    # A name longer than a file name may be, and the empty path itself (not
+    # joined to tmp_path).
+    @pytest.mark.parametrize("target", [
+        "missing-dir/out", "file/out", "dir", "dir/",
+        pytest.param("n" * 300, id="long-name"), pytest.param("", id="empty")])
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_fails_before_the_work(self, tmp_path, capsys, monkeypatch,
                                    command, target):
         (tmp_path / "file").write_text("")
         (tmp_path / "dir").mkdir()
-        target = tmp_path / target if target != "dir/" else (
-            f"{tmp_path / 'dir'}/")
+        if target == "dir/":
+            target = f"{tmp_path / 'dir'}/"
+        elif target:
+            target = tmp_path / target
         argv = self.argv(tmp_path, capsys, command, target)
         with pytest.raises(BoxParseError) as late:
             cli._write_text("", str(target))
@@ -623,6 +628,20 @@ class TestOutputCheckedFirst:
                 main(argv)
         assert kept.read_text() == "keep"
         assert not new.exists()
+
+    # The check's exclusive create refuses a dangling symbolic link as an
+    # existing file; the write then creates the file the link names.
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_dangling_symlink_is_written_through(self, tmp_path, capsys,
+                                                 command):
+        plain, link = tmp_path / "plain.txt", tmp_path / "link"
+        link.symlink_to(tmp_path / "linked.txt")
+        for target in (plain, link):
+            code, out, err = run_cli(
+                capsys, *self.argv(tmp_path, capsys, command, target))
+            assert (code, out, err) == (0, "", "")
+        assert link.is_symlink()
+        assert (tmp_path / "linked.txt").read_text() == plain.read_text()
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_closed_stdout_fails_before_the_work(self, tmp_path, capsys,

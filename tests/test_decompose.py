@@ -1176,6 +1176,11 @@ MERSENNE_MIXTURES = [(vs, size) for vs, size in REFERENCE_MIXTURES
                      if size % 2 == 1]
 
 
+def unpack(span, v):
+    """The entries of ``span``'s packed vector ``v``, lane by lane."""
+    return [span._lane(v, span.width * i) for i in range(len(span.target))]
+
+
 def assert_packed_steps_match_lists(span, steps):
     """Every recorded packed step unpacks, lane for lane, to the list step
     on the unpacked vectors: the new pivot, the target's image and every
@@ -1188,20 +1193,20 @@ def assert_packed_steps_match_lists(span, steps):
                            for j, _ in live[pos + 1:])
             continue
         p, image, later = step
-        row = span.unpack(live[pos][1])
+        row = unpack(span, live[pos][1])
         pc = next(c for c, x in enumerate(row) if x)
         assert p == row[pc]
         pivot = (pc, p, d, row)
-        assert span.unpack(image) == _bareiss_step(span.unpack(target),
-                                                   pivot)
+        assert unpack(span, image) == _bareiss_step(unpack(span, target),
+                                                    pivot)
         expected = []
         for j, u in live[pos + 1:]:
-            reduced = _bareiss_step(span.unpack(u), pivot)
+            reduced = _bareiss_step(unpack(span, u), pivot)
             if span._colbits[j] & need == need and any(reduced):
                 expected.append((j, reduced))
-        assert [(j, span.unpack(u)) for j, u in later] == expected
+        assert [(j, unpack(span, u)) for j, u in later] == expected
         for v in (image, *(u for _, u in later)):
-            assert span.pack(span.unpack(v)) == v
+            assert span.pack(unpack(span, v)) == v
 
 
 class TestPackedDescent:
@@ -1224,9 +1229,9 @@ class TestPackedDescent:
         steps = self.record(monkeypatch)
         table = dense_columns_table(seed)
         span = decompose._SpanFilter(table)
-        assert span.unpack(span._packed_target) == [
+        assert unpack(span, span._packed_target) == [
             t % decompose._SPAN_PRIME for t in span.target]
-        assert [span.unpack(v) for v in span._packed] == span.columns
+        assert [unpack(span, v) for v in span._packed] == span.columns
         for k in range(1, 6):
             list(span.spanning(k, 0))
             list(span.spanning(k, table.full_mask))
@@ -1244,7 +1249,7 @@ class TestPackedDescent:
         span = decompose._SpanFilter(table)
         for k in range(1, 4):
             list(span.spanning(k, 0))
-        assert span.unpack(span._packed_target) == [
+        assert unpack(span, span._packed_target) == [
             t % decompose._SPAN_PRIME for t in span.target]
         # The search's own steps, with its cover masks and its filter.
         decompose._min_subset_search(table, 200_000, target, vs)
@@ -1334,7 +1339,9 @@ def bits_table(colbits, mixed, weights, n_rows):
     return decompose._CellTable(
         ids=tuple(range(len(colbits))), colbits=colbits,
         cells=tuple((0, r) for r in range(n_rows)), rhs=rhs,
-        full_mask=(1 << n_rows) - 1, context_cell_counts=())
+        full_mask=(1 << n_rows) - 1, context_cell_counts=(),
+        rows=tuple(tuple(bits >> r & 1 for bits in colbits)
+                   for r in range(n_rows)))
 
 
 def assert_span_filter_matches_ranks(table, max_size):
