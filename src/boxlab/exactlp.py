@@ -23,14 +23,18 @@ every entry ``x`` outside the pivot row by ``(p*x - f*y) // d``, where
 ``f`` is its row's entry in the pivot column and ``y`` the pivot row's
 entry in its column, and then sets ``d = p``.  ``M`` is then ``d`` times
 ``B^-1`` times the scaled matrix, for the current basis ``B``, with
-``d = |det B|``, so every division is exact (Cramer's rule).  Every pivot
-is positive, so ``d > 0`` and the signs of ``M`` are those of the true
-tableau: the ratio test takes only positive entries, and a drive-out that
-meets a negative entry first negates its row, whose right-hand side is 0.
-The reduced-cost row is one more integer row on the same scale, pivoted
-with the others, so nothing is recomputed per iteration.  The step
-(:func:`_bareiss_step`) and the lcm scaling (:func:`_integers`) also serve
-the subset search in :mod:`.decompose`.  Every program this package builds
+``d = |det B|``, so every division is exact (Cramer's rule).  When
+``p == d`` the new entry is ``x - f*y // d``, exact because ``p*x - f*y``
+and ``p*x = d*x`` are both divisible by ``d``; so only the columns where
+the pivot row is nonzero change, and they change in place (each tableau
+builds its own row lists).  Every pivot is positive, so ``d > 0`` and the
+signs of ``M`` are those of the true tableau: the ratio test takes only
+positive entries, and a drive-out that meets a negative entry first
+negates its row, whose right-hand side is 0.  The reduced-cost row is one
+more integer row on the same scale, pivoted with the others, so nothing is
+recomputed per iteration.  The dense step (:func:`_bareiss_step`), taken
+when ``p != d``, and the lcm scaling (:func:`_integers`) also serve the
+subset search in :mod:`.decompose`.  Every program this package builds
 has integer rows, so there ``s = 1``.
 
 The pivots are those of the rational simplex on the unscaled program.
@@ -199,11 +203,25 @@ class _Tableau:
         self.cost = cost
 
     def pivot(self, row: int, col: int) -> None:
-        p = self.rows[row][col]
-        pivot = (col, p, self.d, self.rows[row])
-        self.rows = [target if r == row else _bareiss_step(target, pivot)
-                     for r, target in enumerate(self.rows)]
-        self.cost = _bareiss_step(self.cost, pivot)
+        """Pivot on ``rows[row][col]``; when it equals ``d``, only the pivot
+        row's nonzero columns change, in place (see the module docstring).
+        The tableau owns its row lists, so no one else sees the change."""
+        y_row = self.rows[row]
+        p = y_row[col]
+        d = self.d
+        if p == d:
+            # (p*x - f*y) // d is x - f*y // d, and f*y is divisible by d.
+            nonzero = [(j, y) for j, y in enumerate(y_row) if y]
+            for v in chain(self.rows, (self.cost,)):
+                f = v[col]
+                if f and v is not y_row:
+                    for j, y in nonzero:
+                        v[j] -= f * y // d
+        else:
+            pivot = (col, p, d, y_row)
+            self.rows = [target if r == row else _bareiss_step(target, pivot)
+                         for r, target in enumerate(self.rows)]
+            self.cost = _bareiss_step(self.cost, pivot)
         self.basis[row] = col
         self.d = p
 

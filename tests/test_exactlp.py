@@ -1,5 +1,6 @@
 """Exact rational linear programming: correctness, degeneracy, cross-checks."""
 
+import copy
 import random
 import re
 from collections import Counter
@@ -715,6 +716,44 @@ class TestContinuation:
             solve(lp)
 
 
+def tableau_snapshot(tableau):
+    """A deep copy of everything a continuation reads of a tableau."""
+    return copy.deepcopy((tableau.rows, tableau.cost, tableau.basis,
+                          tableau.d))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: parity_mixture(random.Random(0), peres_box(), F(1, 4), F(1, 2)),
+    lambda: noisy_peres_box("1/4"),
+    noise_box,
+], ids=["parity-mixture", "noisy-1/4", "noise"])
+class TestMemoizedTableauUnchanged:
+    """The contextual-fraction LP's final tableau stays in the memo as the
+    start of every Peres-strength solve of its box; a continuation pivots
+    its own copy of the rows, so the memoized one never changes."""
+
+    def test_peres_strength_and_classify(self, make):
+        box = make()
+        decompose._cost_lp.cache_clear()
+        final = decompose._cost_lp(box.contexts, decompose._NC)[1].tableau
+        before = tableau_snapshot(final.tableau)
+        first = decompose.peres_strength(box)
+        second = decompose.peres_strength(box)
+        classify(box)
+        assert tableau_snapshot(final.tableau) == before
+        assert first == second
+
+    def test_programs_solve_alike_twice(self, make):
+        cost, lp = peres_programs(make())
+        final = lp.start.tableau
+        before = tableau_snapshot(final.tableau)
+        assert solve(cost) == solve(cost) == lp.start
+        assert solve(lp) == solve(lp)
+        cold = replace(lp, start=None)
+        assert solve(cold) == solve(cold)
+        assert tableau_snapshot(final.tableau) == before
+
+
 def verify_dual(rows, rhs, y, s, costs, optimum=None):
     """``exactlp._verify_dual`` on the standard-form right-hand side
     ``rhs``, scaled to integers ``b / t`` as ``solve`` scales it."""
@@ -992,7 +1031,8 @@ def checked_step(paths):
 
 
 class TestBareissStep:
-    """The one elimination step the simplex and the subset search share."""
+    """The dense elimination step of the subset search, and of the simplex
+    on a pivot whose value differs from the previous one (p != d)."""
 
     def test_echelon_steps_are_exact(self, monkeypatch):
         paths = Counter()
@@ -1021,3 +1061,53 @@ class TestBareissStep:
         for lp in classify_programs(noisy_peres_box("1/3")):
             solve(lp)
         assert search["scale"] and simplex["scale"]
+
+
+@pytest.fixture
+def checked_pivots(monkeypatch):
+    """Checks every ``_Tableau.pivot`` against the dense step on a copy of
+    the tableau, ``exactlp._bareiss_step`` on every other row and on the
+    cost row, entry for entry; counts in the returned Counter which branch
+    each pivot takes: sparse (p = d) or dense (p != d)."""
+    branches = Counter()
+    pivot = exactlp._Tableau.pivot
+
+    def checked(tableau, row, col):
+        rows, cost = copy.deepcopy((tableau.rows, tableau.cost))
+        p, d = rows[row][col], tableau.d
+        step = (col, p, d, rows[row])
+        expected = [v if r == row else exactlp._bareiss_step(v, step)
+                    for r, v in enumerate(rows)]
+        expected_cost = exactlp._bareiss_step(cost, step)
+        if p == d:
+            # Each change f*y // d must be exact.
+            assert all(divmod(v[col] * y, d)[1] == 0
+                       for v in [*rows, cost] for y in rows[row])
+        pivot(tableau, row, col)
+        assert tableau.rows == expected
+        assert tableau.cost == expected_cost
+        assert (tableau.basis[row], tableau.d) == (col, p)
+        branches["sparse" if p == d else "dense"] += 1
+
+    monkeypatch.setattr(exactlp._Tableau, "pivot", checked)
+    return branches
+
+
+class TestSparsePivot:
+    """A pivot equal to the previous one (p = d) changes only the pivot
+    row's nonzero columns, in place; every pivot must give the integers
+    of the dense step."""
+
+    def test_classify_programs(self, checked_pivots):
+        for _, make in CLASSIFY_BOXES:
+            classify_programs(make())
+        assert checked_pivots["sparse"] and checked_pivots["dense"], \
+            checked_pivots
+
+    def test_random_and_degenerate_programs(self, checked_pivots):
+        rng = np.random.default_rng(20240817)
+        for lp in [CYCLING, REDUNDANT,
+                   *(random_program(rng) for _ in range(30))]:
+            solve(lp)
+        assert checked_pivots["sparse"] and checked_pivots["dense"], \
+            checked_pivots
