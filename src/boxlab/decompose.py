@@ -418,10 +418,15 @@ def peres_strength(box: Box) -> PeresStrength:
     (the box carries contextuality not aligned with the parity box and is not
     noncontextual either).
 
-    The program is the contextual-fraction LP's cell rows as equalities,
-    plus a trailing column for the parity box and a row summing the
-    weights, so it is solved as a continuation of that LP's final tableau
-    (see :func:`~boxlab.exactlp.solve`), read from the memo that
+    Parity mass on a cell where the box is 0 forces p = 0, since the
+    noncontextual part cannot be negative there, and the split is then the
+    box's own membership decomposition.  Otherwise the parity box, the box
+    and every candidate each sum to 5 over the box's support cells (one
+    cell per context), so adding the cell rows shows that the weights sum
+    to 1 on every solution.  The program is then those rows as equalities
+    plus one trailing column for the parity box, solved as a continuation
+    of the contextual-fraction LP's final tableau (see
+    :func:`~boxlab.exactlp.solve`), read from the memo that
     :func:`contextual_fraction` and the membership tests share on the box.
     """
     parity = peres_box()
@@ -429,18 +434,19 @@ def peres_strength(box: Box) -> PeresStrength:
     # is 0, every term of the nonnegative combination must vanish.
     table, start = _cost_lp(box.contexts, _NC)
     m = len(table.ids)
-    # The membership system plus a column for the parity box's weight.  Each
-    # candidate covers 5 support cells, where the box sums to 5, so adding
-    # the cell rows gives p*sum(column) + 5*(1 - p) = 5: parity mass outside
-    # the support (sum(column) < 5) forces p = 0.  Scaling the column to
-    # integers by s keeps every row integer; the LP variable is then p/s,
-    # with entry s in the objective and in the sum row.
+    # Scaling the column to integers by s keeps every row integer; the LP
+    # variable is then p/s, with entry s in the objective.
     s, column = _integers([parity.contexts[i][j] for i, j in table.cells])
-    rows = [[*row, q] for row, q in zip(table.rows, column)]
+    if sum(column) < 5 * s:     # parity mass off the support
+        inside, residual = _membership(box, _NC)
+        if not inside:
+            raise NotDecomposable(
+                "box is not a mixture of the parity box with a noncontextual box")
+        return PeresStrength(_ZERO, residual)
     result = solve(LinearProgram(
         n=m + 1, objective=[0] * m + [s], maximize=True,
-        eq_rows=[*rows, [1] * m + [s]], eq_rhs=[*table.rhs, _ONE],
-        start=start))
+        eq_rows=[[*row, q] for row, q in zip(table.rows, column)],
+        eq_rhs=table.rhs, start=start))
     if result.status != OPTIMAL:
         raise NotDecomposable(
             "box is not a mixture of the parity box with a noncontextual box")
@@ -880,13 +886,26 @@ def product_lhv_terms(marginal: BellMarginal
     alpha_x, beta_y and the correlators K_xy.  Any n-value product model has
     cross-covariance matrix C = K - alpha beta^T of rank at most n - 1, so:
     C = 0 means the marginal is the product of its singles (one term);
-    rank-1 C admits a two-term model iff the factor caps below are
-    compatible; rank-2 C needs at least three hidden values (returns None).
+    rank-1 C always admits a two-term model; rank-2 C needs at least three
+    hidden values (returns None).
 
-    For C = u v^T the two-term models are parameterized by p', q' > 0 with
-    the term expectations alpha + p'u, alpha - q'u, beta + v/q', beta - v/p';
-    boundedness by 1 gives per-component caps P, Q on p', q' and R, S on
-    1/q', 1/p', and a model exists iff P*S >= 1 and Q*R >= 1.
+    For C = u v^T the two-term models are parameterized by p', q' > 0, with
+    weights q'/(p'+q') and p'/(p'+q') and term expectations alpha + p'u,
+    alpha - q'u, beta + v/q' and beta - v/p'.  The largest p', q' keeping
+    Alice's terms in [-1, 1] are P = min_x (1 - s_x alpha_x)/|u_x| and
+    Q = min_x (1 + s_x alpha_x)/|u_x|, over the x with u_x != 0, s_x its
+    sign; the model takes p' = P and q' = Q.  Bob's terms then lie in
+    [-1, 1] too, and P, Q > 0, because a valid marginal bounds C: cell
+    (a, b) of pair (x, y) is ((1 + a alpha_x)(1 + b beta_y) + ab C_xy)/4
+    >= 0 for a, b = +-1, so with t_y the sign of v_y
+
+        |u_x v_y| <= (1 - s_x alpha_x)(1 + t_y beta_y)  and
+        |u_x v_y| <= (1 + s_x alpha_x)(1 - t_y beta_y).
+
+    With x at the minimum in P the first gives |v_y|/P <= 1 + t_y beta_y,
+    which keeps beta - v/P in [-1, 1]; the second does the same for Q and
+    beta + v/Q.  P = 0 would make row x of C vanish, though u_x and v are
+    nonzero; likewise Q.
     """
     alpha = (bell_single(marginal, "A", 0), bell_single(marginal, "A", 1))
     beta = (bell_single(marginal, "B", 0), bell_single(marginal, "B", 1))
@@ -913,21 +932,16 @@ def product_lhv_terms(marginal: BellMarginal
 
     P = cap(u, alpha, -1)   # p' <= P keeps alpha + p'u in [-1, 1]
     Q = cap(u, alpha, +1)   # q' <= Q keeps alpha - q'u in [-1, 1]
-    R = cap(v, beta, -1)    # 1/q' <= R keeps beta + v/q' in [-1, 1]
-    S = cap(v, beta, +1)    # 1/p' <= S keeps beta - v/p' in [-1, 1]
-    if P * S < 1 or Q * R < 1:
-        return None
-    p_prime, q_prime = P, Q
-    t = q_prime / (p_prime + q_prime)
+    t = Q / (P + Q)
     term1 = ProductTerm(
         t,
-        (alpha[0] + p_prime * u[0], alpha[1] + p_prime * u[1]),
-        (beta[0] + v[0] / q_prime, beta[1] + v[1] / q_prime),
+        (alpha[0] + P * u[0], alpha[1] + P * u[1]),
+        (beta[0] + v[0] / Q, beta[1] + v[1] / Q),
     )
     term2 = ProductTerm(
         1 - t,
-        (alpha[0] - q_prime * u[0], alpha[1] - q_prime * u[1]),
-        (beta[0] - v[0] / p_prime, beta[1] - v[1] / p_prime),
+        (alpha[0] - Q * u[0], alpha[1] - Q * u[1]),
+        (beta[0] - v[0] / P, beta[1] - v[1] / P),
     )
     model = (term1, term2)
     if product_terms_marginal(model).dists != marginal.dists:

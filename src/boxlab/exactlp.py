@@ -54,16 +54,14 @@ yield identical results.
 
 A program may continue from an earlier one (``LinearProgram.start``) whose
 rows were all ``<=`` with nonnegative right-hand sides, when it takes those
-rows as equalities and adds trailing columns and equality rows.  The
-earlier standard form ``[rows | slacks | b]`` is then the new program's
-cold phase-1 tableau less the new columns and rows, each slack the unit
-column of its row's artificial.  Pivots are row operations, so the earlier
-final tableau, with each new column entered as its slack block
-(``d B^-1``) times the column and each new row reduced against the basis
-over its own artificial, is exactly the new cold tableau after the earlier
-pivots, at the same ``d`` (the new rows add an identity block to the
-basis).  Everything after that, the Farkas vector included, is the cold
-path's.
+rows as equalities and only appends trailing columns.  The earlier
+standard form ``[rows | slacks | b]`` is then the new program's cold
+phase-1 tableau less the new columns, each slack the unit column of its
+row's artificial.  Pivots are row operations, so the earlier final
+tableau, with each new column entered as its slack block (``d B^-1``)
+times the column, is exactly the new cold tableau after the earlier
+pivots, at the same ``d``.  Everything after that, the Farkas vector
+included, is the cold path's.
 
 Every returned answer is re-verified against the original program before it
 is handed back.  An optimal solution is read as integer numerators ``num``
@@ -269,12 +267,10 @@ class _Tableau:
 
 class _Final(NamedTuple):
     """A solved program's last tableau, with what a continuation checks it
-    against: the standard-form rows and right-hand side it was built from,
-    and the factor ``t`` its right-hand-side column is scaled by."""
+    against: the standard-form rows and right-hand side it was built from."""
 
     rows: list[list[Fraction]]
     rhs: list[Fraction]
-    t: int
     tableau: _Tableau
 
 
@@ -316,9 +312,9 @@ def solve(lp: LinearProgram) -> LPResult:
     With ``lp.start``, the result of an earlier ``solve`` of a program of
     ``<=`` rows with nonnegative right-hand sides, phase 1 starts from that
     program's final tableau, which is exact (see the module docstring).
-    ``lp`` must begin with exactly those rows as equalities, with the same
-    right-hand sides, and add only trailing columns and equality rows;
-    anything else raises :class:`MalformedProgram`.
+    ``lp`` must have exactly those rows as equalities, with the same
+    right-hand sides, and add only trailing columns; anything else, a new
+    row included, raises :class:`MalformedProgram`.
     """
     objective, eq_rows, eq_rhs, le_rows, le_rhs = _validated(lp)
     if lp.start is not None and le_rows:
@@ -365,7 +361,7 @@ def solve(lp: LinearProgram) -> LPResult:
     if lp.start is None:
         tableau = _Tableau(cold, list(initial), n, s)
     else:
-        tableau = _continued(lp.start.tableau, rows, rhs, b, cold, n, s, t)
+        tableau = _continued(lp.start.tableau, rows, rhs, cold, n, s)
 
     # --- phase 1 ----------------------------------------------------------
     if artificial:
@@ -421,7 +417,7 @@ def solve(lp: LinearProgram) -> LPResult:
     d = tableau.d
     _verify_dual(rows, b, t, _dual(tableau, c, initial), s,
                  [d * v for v in c[:width]], d * u * sign * value)
-    return LPResult(OPTIMAL, value, x, _Final(rows, rhs, t, tableau))
+    return LPResult(OPTIMAL, value, x, _Final(rows, rhs, tableau))
 
 
 def _dual(tableau: _Tableau, c: list[int], initial: list[int]) -> list[int]:
@@ -432,52 +428,33 @@ def _dual(tableau: _Tableau, c: list[int], initial: list[int]) -> list[int]:
 
 
 def _continued(final: _Final | None, rows: list[list[Fraction]],
-               rhs: list[Fraction], b: list[int], cold: list[list[int]],
-               n: int, s: int, t: int) -> _Tableau:
+               rhs: list[Fraction], cold: list[list[int]], n: int,
+               s: int) -> _Tableau:
     """The cold tableau ``cold`` of an all-equality program after the pivots
     that solved the program of ``final``; raises :class:`MalformedProgram`
-    unless this program extends it (see :func:`solve`).  A new row whose
-    right-hand side is negative there is negated, in ``rows``, ``rhs`` and
-    the scaled right-hand side ``b`` too, as a cold start negates one."""
+    unless this program extends it (see :func:`solve`)."""
     if final is None:
         raise MalformedProgram(
             "start is not a solved program of <= rows with nonnegative "
             "right-hand sides")
     old = final.tableau
-    n0, m0, m = old.n, len(old.rows), len(rows)
-    if (n < n0 or m < m0 or old.weight != s
+    n0, m0 = old.n, len(old.rows)
+    if (n < n0 or len(rows) != m0 or old.weight != s
             or any(rows[r][:n0] != final.rows[r][:n0] or rhs[r] != final.rhs[r]
                    for r in range(m0))):
         raise MalformedProgram("program does not extend the start's rows")
     # Every row of this program starts on its artificial, column n + r;
-    # the start's slack for row r stood in for it.
+    # the start's slack for row r stood in for it.  The right-hand sides
+    # and the scale s are the start's, so its right-hand-side column is
+    # this program's, scaled alike.
     basis = [j if j < n0 else n + j - n0 for j in old.basis]
-    ratio = t // final.t
     continued = []
     for row in old.rows:
         block = row[n0:n0 + m0]          # d * B^-1
         entered = [sum(y * a[j] for y, a in zip(block, cold) if y)
                    for j in range(n0, n)]
-        continued.append(row[:n0] + entered + block + [0] * (m - m0)
-                         + [row[-1] * ratio])
-    # A new row a becomes d*a - sum_q a[basis[q]] * row q: d times the row
-    # of B'^-1 A for the basis B' that adds its artificial, det B' = det B.
-    for r in range(m0, m):
-        a = cold[r]
-        new = [old.d * v for v in a]
-        for q, col in enumerate(basis):
-            if a[col]:
-                new = [v - a[col] * w for v, w in zip(new, continued[q])]
-        if new[-1] < 0:
-            # The row of the program with row r negated, as a cold start
-            # negates a row with rhs < 0, so its artificial starts >= 0:
-            # every entry negates but the artificial's own d.
-            rows[r], rhs[r], b[r] = [-v for v in rows[r]], -rhs[r], -b[r]
-            new = [-v for v in new]
-            new[n + r] = old.d
-        continued.append(new)
-    return _Tableau(continued, basis + list(range(n + m0, n + m)), n, s,
-                    old.d)
+        continued.append(row[:n0] + entered + block + row[-1:])
+    return _Tableau(continued, basis, n, s, old.d)
 
 
 def _verify_dual(rows: list[list[Fraction]], b: list[int], t: int,

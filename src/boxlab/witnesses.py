@@ -4,7 +4,10 @@ The covariance witness Q is the determinant of the 2x2 matrix of
 cross-covariances cov(A_x, B_y).  Any product (uncorrelated) box has all four
 covariances zero, and more generally any two-value product-response model
 makes the matrix rank-deficient, so Q != 0 witnesses superlocality of the
-Bell marginal without inspecting the hidden-variable model.
+Bell marginal without inspecting the hidden-variable model.  Conversely
+every local marginal with Q = 0 has a two-value model
+(:func:`~boxlab.decompose.product_lhv_terms`), so for a local marginal
+superlocality is exactly Q != 0.
 
 The semi-device-independent check combines that witness with perfect
 three-observable correlations in the two mixed contexts and a nonvanishing
@@ -28,7 +31,6 @@ from .decompose import (
     min_lhv_dimension,
     min_nc_dimension,
     peres_strength,
-    product_lhv_terms,
 )
 from .errors import NotDecomposable, PairNotJoint
 from .scenario import (
@@ -79,8 +81,7 @@ class SdiCheck:
 
     ``conditions`` maps each sub-condition name to its boolean:
     ``q_witness`` (Q != 0), ``c1_expectation`` (<A0 B1 D> = 1),
-    ``c2_expectation`` (<A1 B0 E> = 1) and ``cov_de`` (cov(D,E) != 0, or
-    cov(D,E) > 0 in strict-positive mode).
+    ``c2_expectation`` (<A1 B0 E> = 1) and ``cov_de`` (cov(D,E) != 0).
     """
 
     passed: bool
@@ -89,18 +90,13 @@ class SdiCheck:
     c2_expectation: Fraction
     cov_de: Fraction
     conditions: Mapping[str, bool]
-    require_positive_cov: bool
 
 
-def sdi_contextuality_check(box: Box,
-                            require_positive_cov: bool = False) -> SdiCheck:
+def sdi_contextuality_check(box: Box) -> SdiCheck:
     """Semi-device-independent contextuality criterion.
 
     True iff Q != 0, the two three-observable contexts show perfect
-    correlation (<A0 B1 D> = <A1 B0 E> = 1), and cov(D, E) != 0.  The default
-    D,E condition is two-sided; ``require_positive_cov=True`` switches it to
-    cov(D, E) > 0 (every worked reference example has cov(D,E) <= 0, so the
-    strict mode rejects them all; it exists for completeness).
+    correlation (<A0 B1 D> = <A1 B0 E> = 1), and cov(D, E) != 0.
     """
     q = q_witness(box)
     c1 = expectation(box, "C1")
@@ -110,10 +106,9 @@ def sdi_contextuality_check(box: Box,
         "q_witness": q != 0,
         "c1_expectation": c1 == 1,
         "c2_expectation": c2 == 1,
-        "cov_de": (cde > 0) if require_positive_cov else (cde != 0),
+        "cov_de": cde != 0,
     }
-    return SdiCheck(all(conditions.values()), q, c1, c2, cde,
-                    conditions, require_positive_cov)
+    return SdiCheck(all(conditions.values()), q, c1, c2, cde, conditions)
 
 
 @dataclass(frozen=True)
@@ -153,8 +148,8 @@ def classify(box: Box, budget: int | None = None,
     """Assemble the full :class:`Report` for a validated box.
 
     ``skip_dims=True`` skips the subset searches (minimal dimensions and the
-    supernoncontextual flag); the superlocal flag survives because its
-    product-response test needs no search.  The budget is checked first,
+    supernoncontextual flag); the superlocal flag survives because it is
+    read from Q, which needs no search.  The budget is checked first,
     whether or not a search runs.
     """
     budget = _budget_value(budget)
@@ -178,7 +173,7 @@ def classify(box: Box, budget: int | None = None,
     min_lhv: DimensionResult | None = None
     superlocal: bool | None = None
     if local:
-        superlocal = product_lhv_terms(marginal) is None
+        superlocal = sdi.q_witness != 0
         if not skip_dims:
             min_lhv = min_lhv_dimension(marginal, budget)
 

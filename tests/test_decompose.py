@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from math import comb
@@ -55,8 +56,10 @@ from boxlab.errors import BoxParseError, ParameterOutOfRange
 from boxlab.exactlp import (INFEASIBLE, LinearProgram, LPResult,
                             _bareiss_step, solve)
 from boxlab.quantum import make_observables, make_state, quantum_box
-from boxlab.scenario import bell_marginal, mix_boxes, validate_bell_marginal
+from boxlab.scenario import (BELL_SETTINGS, bell_marginal, mix_boxes,
+                             validate_bell_marginal)
 from boxlab.vertices import det_box, enumerate_local_vertices, enumerate_nc_vertices
+from boxlab.witnesses import classify
 
 W_GRID = ("0", "1/6", "1/3", "1/2", "2/3", "5/6", "1")
 
@@ -436,6 +439,20 @@ SPARSE_MIXTURES = (
     + [("relabelled", seed, "PERES_RELABELLED_TABLE") for seed in range(8)])
 
 
+# Boxes with parity mass outside their support: the seeded vertex and
+# relabelled-parity mixtures, and the fixtures where it holds.
+PARITY_OFF_SUPPORT = [
+    *((f"{kind}-{seed}", lambda kind=kind, seed=seed, extra=extra:
+       sparse_mixture(random.Random(f"{kind}-{seed}"),
+                      None if extra is None
+                      else fx.build_box(getattr(fx, extra))))
+      for kind, seed, extra in SPARSE_MIXTURES if kind != "parity"),
+    *((name, lambda name=name: fx.build_box(getattr(fx, name)))
+      for name in PERES_FIXTURE_TABLES
+      if parity_outside_support(fx.build_box(getattr(fx, name)))),
+]
+
+
 def marginal_mixture(rng):
     """A few seeded local deterministic boxes and the PR marginal, with
     random positive weights."""
@@ -609,7 +626,8 @@ class TestCostLpMemo:
 class TestPeresStrengthContinuation:
     """The Peres-strength program continues from the contextual-fraction
     LP's final tableau: it gets the cold program's status and value, and
-    the same answer whatever the one-table memo holds."""
+    the same answer whatever the one-table memo holds.  A box that leaves
+    parity mass outside its support solves no Peres-strength program."""
 
     @pytest.mark.parametrize("name", PERES_FIXTURE_TABLES)
     def test_answer_does_not_depend_on_the_memo(self, name, monkeypatch):
@@ -623,7 +641,9 @@ class TestPeresStrengthContinuation:
         assert recorded_peres_strength(box, monkeypatch, box)[0] == answers[0]
         # Only a memo hit spares the contextual-fraction LP, also on a table
         # with no candidate vertex (the parity box and its relabelling).
-        assert [len(programs) for _, programs in runs] == [2, 1, 2]
+        # Parity mass outside the support forces p = 0, read from that LP.
+        expected = [1, 0, 1] if parity_outside_support(box) else [2, 1, 2]
+        assert [len(programs) for _, programs in runs] == expected
 
     @pytest.mark.parametrize("kind, seed, extra", SPARSE_MIXTURES)
     def test_sparse_mixtures_match_cold_solves(self, kind, seed, extra,
@@ -631,11 +651,43 @@ class TestPeresStrengthContinuation:
         rng = random.Random(f"{kind}-{seed}")
         box = sparse_mixture(
             rng, None if extra is None else fx.build_box(getattr(fx, extra)))
-        _, (cost, lp) = recorded_peres_strength(box, monkeypatch)
+        _, programs = recorded_peres_strength(box, monkeypatch)
+        if kind != "parity":
+            # Vertices, alone or with the relabelled parity box, leave
+            # parity mass outside the support: only the contextual-fraction
+            # program is solved.
+            (cost,) = programs
+            assert cost.le_rows
+            return
+        cost, lp = programs
         assert cost.le_rows and lp.start == solve(cost)
+        assert len(lp.eq_rows) == len(cost.le_rows) and lp.n == cost.n + 1
         continued, cold = solve(lp), solve(replace(lp, start=None))
         assert (continued.status, continued.value) == (cold.status,
                                                        cold.value)
+
+    @pytest.mark.parametrize("name, make", PARITY_OFF_SUPPORT,
+                             ids=[name for name, _ in PARITY_OFF_SUPPORT])
+    def test_parity_mass_off_the_support_forces_zero(self, name, make,
+                                                     monkeypatch):
+        box = make()
+        assert parity_outside_support(box)
+        answer, programs = recorded_peres_strength(box, monkeypatch)
+        assert [lp.start for lp in programs] == [None]
+        inside, dec = nc_membership(box)
+        if answer is None:
+            assert not inside
+        else:
+            assert inside and answer == (0, dec)
+        # classify solves the box's LP and its marginal's, and no third.
+        decompose._cost_lp.cache_clear()
+        del programs[:]
+        with monkeypatch.context() as mp:
+            mp.setattr(decompose, "solve",
+                       lambda lp: programs.append(lp) or solve(lp))
+            report = classify(box, skip_dims=True)
+        assert len(programs) == 2
+        assert report.peres_strength == (None if answer is None else 0)
 
 
 NC_DIMENSION_CASES = [
@@ -883,6 +935,43 @@ class TestSuperlocality:
             for bias in (*term.alice, *term.bob):
                 assert -1 <= bias <= 1
         assert product_terms_marginal(terms).dists == marginal.dists
+
+    def test_every_rank_one_marginal_has_a_two_value_model(self):
+        # Seeded marginals with covariance lam * u v^T, lam up to the
+        # largest that keeps every cell nonnegative, so many have a zero
+        # cell; singles include the deterministic +-1.
+        rng = random.Random(20261019)
+
+        def rational(low=-1):
+            den = rng.randint(1, 6)
+            return Fraction(rng.randint(low * den, den), den)
+
+        seen = Counter()
+        for _ in range(400):
+            alpha, beta = (rational(), rational()), (rational(), rational())
+            u, v = (rational(), rational()), (rational(), rational())
+            # ab * C_xy >= -(1 + a alpha_x)(1 + b beta_y) on every cell.
+            caps = [(1 + a * alpha[x]) * (1 + b * beta[y])
+                    / abs(u[x] * v[y])
+                    for x, y in BELL_SETTINGS for a in (1, -1)
+                    for b in (1, -1) if a * b * u[x] * v[y] < 0]
+            lam = min(caps, default=Fraction(1)) * rational(low=0)
+            marginal = validate_bell_marginal(
+                [[((1 + a * alpha[x]) * (1 + b * beta[y])
+                   + a * b * lam * u[x] * v[y]) / 4
+                  for a in (1, -1) for b in (1, -1)]
+                 for x, y in BELL_SETTINGS])
+            terms = product_lhv_terms(marginal)
+            assert terms is not None
+            assert all(t.weight > 0 for t in terms)
+            assert sum(t.weight for t in terms) == 1
+            for term in terms:
+                for bias in (*term.alice, *term.bob):
+                    assert -1 <= bias <= 1
+            assert product_terms_marginal(terms).dists == marginal.dists
+            seen[len(terms), 0 in itertools.chain(*marginal.dists)] += 1
+        # One- and two-term models, with and without a zero cell.
+        assert set(seen) == {(1, False), (1, True), (2, False), (2, True)}
 
 
 class TestAffineDimensions:

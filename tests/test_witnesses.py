@@ -209,22 +209,11 @@ class TestSdiCheck:
         assert chk.passed is False
         assert {k for k, v in chk.conditions.items() if not v} == failing
 
-    def test_strict_positive_covariance_flag(self):
-        loose = sdi_contextuality_check(noisy_peres_box("1/3"))
-        strict = sdi_contextuality_check(
-            noisy_peres_box("1/3"), require_positive_cov=True
-        )
-        assert loose.passed is True
-        assert strict.passed is False
-        assert strict.conditions["cov_de"] is False
-        assert strict.require_positive_cov is True
-        # A correlated-DE cousin passes even under the strict flag.
-        flipped = sdi_contextuality_check(
-            fx.build_box(fx.NOISY_THIRD_C4_FLIPPED_TABLE),
-            require_positive_cov=True,
-        )
-        assert flipped.passed is True
-        assert flipped.cov_de == Fraction(1, 3)
+    def test_correlated_de_box_passes(self):
+        chk = sdi_contextuality_check(
+            fx.build_box(fx.NOISY_THIRD_C4_FLIPPED_TABLE))
+        assert chk.passed is True
+        assert chk.cov_de == Fraction(1, 3)
 
     def test_passing_boxes_have_no_product_model(self):
         passing = [
