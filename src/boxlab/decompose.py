@@ -42,7 +42,11 @@ basis of the whole cell system, target column included, so no linear
 relation is lost.  Each support size is one depth-first descent in
 ``itertools.combinations`` order that carries each depth's cover mask and
 elimination state, and prunes a prefix whose newest column is dependent or
-whose mask, with every later candidate's, cannot complete the cover.  A
+whose mask, with every later candidate's, cannot complete the cover.  The
+sizes are tested from the top down, from the one below the size of the
+contextual-fraction LP's decomposition: a size with a nonnegative support
+makes every larger size up to the cap have one, so only the size below the
+answer is refuted exhaustively, and the smaller ones with it.  A
 vector is one int of fixed-width signed lanes, sized by a Hadamard bound
 on the candidates' minors, so an elimination step is a few whole-int
 operations; the target enters modulo a prime, and every support that
@@ -479,10 +483,13 @@ class DimensionResult:
     ``decomposition`` is None.
 
     ``filtered_count`` is the number of candidate vertices, those with
-    mass only on the target's positive cells.  ``nodes_used`` counts
-    supports in ``itertools.combinations`` order, size by size from the
-    coverage floor: all of a refuted size, the ones pruned in whole ranges
-    included, and at a hit the supports up to and including it.
+    mass only on the target's positive cells.  ``nodes_used`` counts the
+    supports refuted, in ``itertools.combinations`` order, size by size
+    from the coverage floor: all of every size below the result, and at a
+    hit the supports up to and including it.  Most are refuted without a
+    visit: the search descends only the size below the answer in full, and
+    that refutes every smaller size (see :func:`_min_subset_search`); within
+    a descent, pruned ranges count whole.
     """
 
     dimension: int
@@ -509,9 +516,10 @@ class _SpanFilter:
     A support is refuted when its columns (cell indicators plus the sum row)
     are linearly dependent or the target lies outside their span; otherwise
     it has unique weights (:meth:`weights`).  Refuting dependent columns is
-    exact in the search: it reaches size k only after refuting every smaller
-    support, and a nonnegative solution on dependent columns would give one
-    (moving along a null vector drives a weight to zero).
+    exact in the search: a nonnegative solution on dependent columns gives
+    one on fewer of them (moving along a null vector drives a weight to
+    zero), so every support of the least size with a nonnegative solution
+    has independent columns.
 
     The vectors are rank-sized.  One fraction-free (Bareiss) echelon pass
     over the rows of ``[cell rows; sum row | scaled target]`` keeps the rows
@@ -725,21 +733,51 @@ def _combination_rank(subset: Sequence[int], n: int) -> int:
 
 def _min_subset_search(table: _CellTable, budget: int, target,
                        vs: _VertexSet) -> DimensionResult:
-    """Level search from the coverage floor up to the Caratheodory cap.
+    """Level search from the top down: the least support size whose
+    covering supports include one with weights ``>= 0``, and the first such
+    support in ``itertools.combinations`` order.  The target must lie in
+    the polytope.
 
     Level k is one depth-first descent through the supports of
     ``itertools.combinations(range(n), k)`` in that order
-    (:meth:`_SpanFilter.spanning`).  It prunes a prefix whose newest column
-    depends on the earlier ones, or whose cover mask, with every later
-    candidate's, cannot cover the target's cells.  A full support is
-    refuted when the target's image modulo the prime :data:`_SPAN_PRIME`
-    leaves a residual on its packed columns, whose lanes are sized by a
-    Hadamard bound; every other support is confirmed exactly, and the
-    descent stops at the first with nonnegative weights.  A node is one
-    support in that order, visited or pruned with its whole range: a
-    refuted level counts ``comb(n, k)`` nodes, and a hit the supports up to
-    and including it, one more than its index in the order.  A level runs
-    only when all its nodes fit in the budget.
+    (:meth:`_SpanFilter.spanning`), which yields the covering supports with
+    independent columns that span the target, each with its weights.  Call
+    level k *feasible* when one of them has weights ``>= 0``.
+
+    Lemma: if level k is feasible and k < r, the rank of the candidate
+    columns (the Caratheodory cap), then level k + 1 is.  Proof: the k
+    columns of the feasible support span a k-dimensional space, and r > k,
+    so some candidate column lies outside it.  Adding that candidate keeps
+    the columns independent and the cover complete, and the target keeps
+    its weights, with weight 0 on the new column.
+
+    So feasibility only grows with k, from the least feasible level A up to
+    r, and a refuted level refutes every smaller one.  At level A no weight
+    is 0: the columns with nonzero weights would be a feasible support
+    smaller than A (independent, spanning the target, and covering every
+    positive cell, since each such cell needs a positive weight).  So the
+    first support with weights ``>= 0`` at level A is the one a bottom-up
+    walk finds, and by the same argument a support at level k with ``z``
+    nonzero weights, all positive then, makes level ``z`` feasible.
+
+    The contextual-fraction LP's decomposition of the target (read from
+    the memo of :func:`_cost_lp`) has U terms; moving along null vectors
+    brings it to independent columns, so A <= U, and A <= r, so level
+    ``min(U, r)`` is feasible.  The search probes the level below the
+    lowest one known feasible.  A hit with ``z`` nonzero weights makes
+    level ``z`` feasible, and is its first support when ``z = k``; a probe
+    without a hit puts the answer one level up.  So only the level below
+    the answer is refuted exhaustively.  At the answer, unless its probe
+    found its first support, one descent to that support runs, and a zero
+    weight there is a fault.
+
+    A node is one support in combinations order, size by size from the
+    coverage floor: ``nodes_used`` counts every support below the answer,
+    refuted by the probe of the level below it or by the lemma, and at the
+    answer one more than its support's index in the order.  The search
+    tests no level above ``top``, the largest whose nodes, with every
+    smaller level's, fit in the budget; when it refutes ``top``, the result
+    is the lower bound ``top``.
     """
     n = len(table.ids)
     # Every vertex covers exactly one cell per context, so a feasible support
@@ -749,25 +787,44 @@ def _min_subset_search(table: _CellTable, budget: int, target,
         return DimensionResult(k_floor - 1, LOWER_BOUND_ONLY, None, n, 0)
     span = _SpanFilter(table)
     cap = span.rank
-    nodes = 0
-    for k in range(k_floor, cap + 1):
-        if nodes + comb(n, k) > budget:
-            return DimensionResult(k - 1, LOWER_BOUND_ONLY, None, n, nodes)
-        for subset, q in span.spanning(k, table.full_mask):
-            if any(w < 0 for w in q):
-                continue
-            if not all(q):
-                # A nonnegative solution with a zero weight is a smaller
-                # support, and every smaller support is refuted by now.
-                raise AssertionError(
-                    "smaller support escaped the refuted levels")
-            terms = [(table.ids[i], w) for i, w in zip(subset, q)]
-            return DimensionResult(
-                k, EXACT, _decomposition(terms, target, vs), n,
-                nodes + _combination_rank(subset, n) + 1)
-        nodes += comb(n, k)
-    raise AssertionError(
-        f"no decomposition within the Caratheodory cap {cap} ({vs.name})")
+    top, fitting = k_floor, comb(n, k_floor)  # nodes of levels up to top
+    while top < cap and fitting + comb(n, top + 1) <= budget:
+        top += 1
+        fitting += comb(n, top)
+
+    def first_nonnegative(k):
+        return next(((subset, q)
+                     for subset, q in span.spanning(k, table.full_mask)
+                     if all(w >= 0 for w in q)), None)
+
+    _, lp = _cost_lp(vs.dists(target), vs)
+    k = min(sum(1 for q in lp.x if q > 0), cap, top + 1) - 1
+    first = None  # the first support of level k + 1 with weights >= 0
+    while k >= k_floor:
+        hit = first_nonnegative(k)
+        if hit is None:
+            break
+        nonzero = sum(1 for w in hit[1] if w)
+        first = hit if nonzero == k else None
+        k = nonzero - 1
+    if k == top:
+        return DimensionResult(top, LOWER_BOUND_ONLY, None, n, fitting)
+    k += 1
+    if first is None:
+        first = first_nonnegative(k)
+        if first is None:
+            raise AssertionError(
+                f"no decomposition within the Caratheodory cap {cap} "
+                f"({vs.name})")
+        if not all(first[1]):
+            # A zero weight gives a feasible smaller level, and the level
+            # below this one is refuted.
+            raise AssertionError("smaller support escaped the refuted levels")
+    subset, q = first
+    terms = [(table.ids[i], w) for i, w in zip(subset, q)]
+    below = sum(comb(n, j) for j in range(k_floor, k))
+    return DimensionResult(k, EXACT, _decomposition(terms, target, vs), n,
+                           below + _combination_rank(subset, n) + 1)
 
 
 def _affine_rank(vectors) -> int:
@@ -803,7 +860,7 @@ def _min_dimension(target, budget: int | None, vs: _VertexSet, membership,
 def min_nc_dimension(box: Box, budget: int | None = None) -> DimensionResult:
     """Minimal number of deterministic vertices mixing to the box.
 
-    Exhaustive over increasing support sizes within the support-filtered
+    Exhaustive over the support sizes within the support-filtered
     candidate set; raises :class:`NotNoncontextual` for boxes outside the
     noncontextual polytope.  ``budget`` caps the number of enumerated
     subsets (default :data:`DEFAULT_BUDGET`, env ``BOXLAB_BUDGET``); a

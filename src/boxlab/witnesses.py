@@ -34,6 +34,7 @@ from .decompose import (
 )
 from .errors import NotDecomposable, PairNotJoint
 from .scenario import (
+    BellMarginal,
     Box,
     _bell_covariance,
     _pair_covariance,
@@ -71,7 +72,11 @@ def covariance(box: Box, pair: tuple[str, str]) -> Fraction:
 
 def q_witness(box: Box) -> Fraction:
     """Determinant of the covariance matrix [cov(A_x, B_y)]_{x,y}."""
-    C = _bell_covariance(bell_marginal(box))
+    return _marginal_q(bell_marginal(box))
+
+
+def _marginal_q(marginal: BellMarginal) -> Fraction:
+    C = _bell_covariance(marginal)
     return C[0][0] * C[1][1] - C[1][0] * C[0][1]
 
 
@@ -92,13 +97,16 @@ class SdiCheck:
     conditions: Mapping[str, bool]
 
 
-def sdi_contextuality_check(box: Box) -> SdiCheck:
+def sdi_contextuality_check(box: Box, marginal: BellMarginal | None = None
+                            ) -> SdiCheck:
     """Semi-device-independent contextuality criterion.
 
     True iff Q != 0, the two three-observable contexts show perfect
-    correlation (<A0 B1 D> = <A1 B0 E> = 1), and cov(D, E) != 0.
+    correlation (<A0 B1 D> = <A1 B0 E> = 1), and cov(D, E) != 0.  Q is read
+    from ``marginal``, which must be the box's Bell marginal; it is built
+    from the box when not given.
     """
-    q = q_witness(box)
+    q = _marginal_q(bell_marginal(box) if marginal is None else marginal)
     c1 = expectation(box, "C1")
     c2 = expectation(box, "C2")
     cde = covariance(box, ("D", "E"))
@@ -156,7 +164,8 @@ def classify(box: Box, budget: int | None = None,
     lhs = inequality_lhs(box)
     fraction = contextual_fraction(box)
     contextual = fraction.cost > 0
-    sdi = sdi_contextuality_check(box)
+    marginal = bell_marginal(box)
+    sdi = sdi_contextuality_check(box, marginal)
     try:
         ps_value = peres_strength(box).value
     except NotDecomposable:
@@ -168,7 +177,6 @@ def classify(box: Box, budget: int | None = None,
         min_nc = min_nc_dimension(box, budget)
         supernoncontextual = _supernoncontextual(min_nc)
 
-    marginal = bell_marginal(box)
     local, _ = bell_local_membership(marginal)
     min_lhv: DimensionResult | None = None
     superlocal: bool | None = None

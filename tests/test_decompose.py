@@ -10,6 +10,7 @@ engine's exact LP or branch-and-bound.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from collections import Counter
 from dataclasses import replace
@@ -19,6 +20,7 @@ from math import comb
 import pytest
 
 import fixtures as fx
+import golden_dimensions
 import oracles
 from boxlab import decompose
 from boxlab.boxes import noise_box, noisy_peres_box, peres_box, uniform_box
@@ -1115,6 +1117,38 @@ def reference_search(table, budget, target, vs):
     raise AssertionError("no decomposition within the Caratheodory cap")
 
 
+def level_boundaries(table, limit):
+    """The budgets, up to ``limit``, that hold exactly the supports of the
+    sizes from the coverage floor to some size k up to the Caratheodory
+    cap: at each, size k is the largest that fits, so a search that
+    refutes it returns a lower bound."""
+    n = len(table.ids)
+    cap = min(n, oracles.exact_affine_rank(cell_system(table)[0]) + 1)
+    total, budgets = 0, []
+    for k in range(max(table.context_cell_counts), cap + 1):
+        total += comb(n, k)
+        if total > limit:
+            break
+        budgets.append(total)
+    return budgets
+
+
+def oracle_supports(table, k):
+    """The covering supports of ``k`` candidates, in combinations order,
+    whose Fraction solve gives unique weights, all ``>= 0``, with those
+    weights."""
+    columns, rhs = cell_system(table)
+    for subset in itertools.combinations(range(len(table.ids)), k):
+        mask = 0
+        for j in subset:
+            mask |= table.colbits[j]
+        if mask != table.full_mask:
+            continue
+        q = fraction_solve([columns[j] for j in subset], rhs)
+        if q is not None and all(w >= 0 for w in q):
+            yield subset, q
+
+
 def random_mixture(rng, vs, size, big):
     """A mixture of ``size`` distinct random vertices of ``vs``; with
     ``big``, every weight but the last has a distinct Mersenne-prime
@@ -1167,6 +1201,20 @@ class TestPinnedSearches:
         assert 0 < len(calls) <= 200
 
 
+class TestGoldenDimensions:
+    # golden_dimensions.json was written by the bottom-up level walk that
+    # the top-down search replaced; every field of every result, and every
+    # exception, must stay the same.
+    def test_every_search_matches_the_record(self, monkeypatch):
+        monkeypatch.delenv("BOXLAB_BUDGET", raising=False)
+        monkeypatch.setattr(decompose, "_dimension_cache", {})
+        recorded = json.loads(golden_dimensions.GOLDEN_PATH.read_text())
+        computed = golden_dimensions.golden_entries()
+        assert len(computed) == len(recorded)
+        for got, expected in zip(computed, recorded):
+            assert got == expected
+
+
 class TestSearchMatchesReferenceWalk:
     @pytest.mark.parametrize("vs, size", REFERENCE_MIXTURES,
                              ids=[f"{vs.name}-{size}"
@@ -1175,7 +1223,7 @@ class TestSearchMatchesReferenceWalk:
         rng = random.Random(f"{vs.name}-{size}")
         target = random_mixture(rng, vs, size, big=size % 2 == 1)
         table = decompose._cell_table(target, vs)
-        for budget in (0, 2_000, 200_000):
+        for budget in (0, 2_000, *level_boundaries(table, 200_000), 200_000):
             expected = reference_search(table, budget, target, vs)
             assert decompose._min_subset_search(
                 table, budget, target, vs) == expected, budget
@@ -1215,6 +1263,50 @@ class TestSearchMatchesReferenceWalk:
         span = decompose._SpanFilter(table)
         assert span.weights((0, 1, 2, 3, 4)) == weights
         assert_span_filter_matches_ranks(table, 5)
+
+
+def assert_levels_only_grow(table):
+    """The lemma behind the top-down search, checked by brute force: from
+    the coverage floor to the Caratheodory cap, once a size has a covering
+    support with independent columns and weights ``>= 0``, every larger
+    size has one; at the least such size every such support has all
+    weights positive."""
+    columns, _ = cell_system(table)
+    cap = min(len(table.ids), oracles.exact_affine_rank(columns) + 1)
+    sizes = range(max(table.context_cell_counts), cap + 1)
+    feasible = [next(oracle_supports(table, k), None) is not None
+                for k in sizes]
+    assert feasible == sorted(feasible) and feasible[-1], feasible
+    least = sizes[feasible.index(True)]
+    assert all(all(w > 0 for w in q)
+               for _, q in oracle_supports(table, least))
+
+
+# The mixtures whose reference walk at budget 200,000 is exact: on the
+# others (NC mixtures of 7 or more vertices, 24 to 49 candidates) the
+# brute force would walk millions of supports.
+EXACT_REFERENCE_MIXTURES = [(vs, size) for vs, size in REFERENCE_MIXTURES
+                            if vs is decompose._LHV or size <= 6]
+
+
+class TestLevelsOnlyGrow:
+    @pytest.mark.parametrize("vs, size", EXACT_REFERENCE_MIXTURES,
+                             ids=[f"{vs.name}-{size}"
+                                  for vs, size in EXACT_REFERENCE_MIXTURES])
+    def test_random_mixtures(self, vs, size):
+        target = random_mixture(random.Random(f"{vs.name}-{size}"), vs,
+                                size, big=size % 2 == 1)
+        assert_levels_only_grow(decompose._cell_table(target, vs))
+
+    @pytest.mark.parametrize("make_box", [
+        make for _, make, _ in NC_DIMENSION_CASES],
+        ids=[name for name, _, _ in NC_DIMENSION_CASES])
+    @pytest.mark.parametrize("vs", [decompose._NC, decompose._LHV],
+                             ids=["box", "marginal"])
+    def test_fixture_boxes(self, make_box, vs):
+        box = make_box()
+        target = box if vs is decompose._NC else bell_marginal(box)
+        assert_levels_only_grow(decompose._cell_table(target, vs))
 
 
 class TestRankSizedSpanFilter:
@@ -1381,18 +1473,60 @@ class TestPackedDescent:
                                                        38_854)
         assert sum(calls) > 0
 
-    # The search reaches size k only after refuting every smaller support,
-    # so confirmed weights with a zero are a fault; the check is a raise,
-    # not an assert, and holds under python -O.
+    @staticmethod
+    def record_sizes(monkeypatch):
+        """Record the size of every descent the search opens."""
+        sizes = []
+        spanning = decompose._SpanFilter.spanning
+
+        def recording(span, k, full_mask):
+            sizes.append(k)
+            return spanning(span, k, full_mask)
+
+        monkeypatch.setattr(decompose._SpanFilter, "spanning", recording)
+        return sizes
+
+    # The search opens the level below the lowest one known to hold.  On
+    # W=1/4 the LP's decomposition has 10 terms: size 9 holds with its first
+    # support's weights all positive, and size 8 is refuted.  On the W=1/3
+    # marginal the first support of size 8 with weights >= 0 has 5 nonzero
+    # ones, so the search jumps to 5, refutes it and descends size 6 to its
+    # first support.  On the rank-2 box size 6 is refuted, and size 7, the
+    # LP's, is descended.
+    @pytest.mark.parametrize("target, vs, sizes, dimension", [
+        (noisy_peres_box("1/4"), decompose._NC, [9, 8], 9),
+        (bell_marginal(noisy_peres_box("1/3")), decompose._LHV, [8, 5, 6], 6),
+        (fx.build_box(fx.RANK2_PERES_TABLE), decompose._NC, [6, 7], 7),
+    ], ids=["noisy-quarter", "noisy-third-marginal", "rank2-parity"])
+    def test_sizes_opened(self, monkeypatch, target, vs, sizes, dimension):
+        opened = self.record_sizes(monkeypatch)
+        table = decompose._cell_table(target, vs)
+        result = decompose._min_subset_search(table, 200_000, target, vs)
+        assert opened == sizes
+        assert (result.dimension, result.status) == (dimension, EXACT)
+        assert result == reference_search(table, 200_000, target, vs)
+
+    # A zero weight met while probing a size above the answer is a jump
+    # down; at the answer, whose level below is refuted by then, it is a
+    # fault.  On the rank-2 box size 6 is refuted before size 7, the answer,
+    # is descended; a zero there must raise, and the check is a raise, not
+    # an assert, so it holds under python -O.
     def test_zero_weight_raises(self, monkeypatch):
-        monkeypatch.setattr(
-            decompose._SpanFilter, "weights",
-            lambda span, subset: [Fraction(0)] * (len(subset) - 1)
-            + [Fraction(1)])
-        box = noisy_peres_box("1/4")
+        opened = self.record_sizes(monkeypatch)
+        weights = decompose._SpanFilter.weights
+
+        def zeroed(span, subset):
+            q = weights(span, subset)
+            if q is not None and opened == [6, 7]:
+                q[0] = Fraction(0)
+            return q
+
+        monkeypatch.setattr(decompose._SpanFilter, "weights", zeroed)
+        box = fx.build_box(fx.RANK2_PERES_TABLE)
         table = decompose._cell_table(box, decompose._NC)
         with pytest.raises(AssertionError, match="smaller support escaped"):
             decompose._min_subset_search(table, 200_000, box, decompose._NC)
+        assert opened == [6, 7]
 
     @pytest.mark.parametrize("n", range(9))
     def test_combination_rank_is_the_index_in_order(self, n):

@@ -370,6 +370,18 @@ class TestClassifyCallPaths:
             decompose.LHV_VERTEX_SET, decompose.NC_VERTEX_SET]
         assert set(tables.values()) == {1}
 
+    def test_marginal_is_built_once(self, monkeypatch):
+        # Q, the local membership test and the local search share one Bell
+        # marginal.
+        built = []
+        build = witnesses.bell_marginal
+        monkeypatch.setattr(witnesses, "bell_marginal",
+                            lambda box: built.append(box) or build(box))
+        box = noisy_peres_box("1/4")
+        report = classify(box)
+        assert built == [box]
+        assert report.q_witness == witnesses.q_witness(box) == Fraction(1, 16)
+
     def test_sweep_row_builds_one_table(self, monkeypatch):
         tables = self.count_tables(monkeypatch)
         row = cli._sweep_row(Fraction(1, 4), noisy_peres_box("1/4"), None)
