@@ -45,6 +45,7 @@ from .errors import (
     BoxlabError,
     ContextNotCommuting,
     Inconclusive,
+    InvalidDecomposition,
     MalformedProgram,
     NegativeEntry,
     NegativeProbability,

@@ -32,29 +32,28 @@ product responses but costs extra hidden values in the deterministic model.
 The subset searches are exhaustive with three exact accelerations: a
 coverage presolve (every deterministic vertex puts mass on exactly one cell
 per context, so a feasible support must jointly cover every positive cell of
-the target — a combinatorial infeasibility proof for everything smaller), a
-Caratheodory cap (no minimal decomposition can need more than the affine
-dimension of the candidate hull plus one), and an integer span test (a
-covering support whose columns are dependent, or do not span the target, is
-refuted by fraction-free elimination).  The span test runs on vectors as
-long as the rank of the candidates and the target: the rows kept are a row
-basis of the whole cell system, target column included, so no linear
-relation is lost.  Each support size is one depth-first descent in
-``itertools.combinations`` order that carries each depth's cover mask and
-elimination state, and prunes a prefix whose newest column is dependent or
-whose mask, with every later candidate's, cannot complete the cover.  The
-sizes are tested from the top down, from the one below the size of the
-contextual-fraction LP's decomposition: a size with a nonnegative support
-makes every larger size up to the cap have one, so only the size below the
-answer is refuted exhaustively, and the smaller ones with it.  A
-vector is one int of fixed-width signed lanes, sized by a Hadamard bound
-on the candidates' minors, so an elimination step is a few whole-int
-operations; the target enters modulo a prime, and every support that
-passes the modular test is confirmed exactly.  One integer eliminator
-serves that confirmation, the survivors' weights (back-substituted in
-integers; ``Fraction`` appears only in the final quotients), the rank
-behind the cap and the affine dimensions, with the exact simplex's step
-and integer scaling.
+the target — a combinatorial infeasibility proof for everything smaller), an
+integer span test (a covering support whose columns are dependent, or do not
+span the target, is refuted by fraction-free elimination), and the LP's
+bound (the contextual-fraction LP's decomposition has independent columns,
+so no minimal decomposition needs more vertices than it has).  The span
+test runs on vectors as long as the rank of the candidates and the target:
+the rows kept are a row basis of the whole cell system, target column
+included, so no linear relation is lost.  Each support size is one
+depth-first descent in ``itertools.combinations`` order that carries each
+depth's cover mask and elimination state, and prunes a prefix whose newest
+column is dependent or whose mask, with every later candidate's, cannot
+complete the cover.  The sizes are tested from the top down, from the one
+below the size of the LP's decomposition: a size with a nonnegative support
+makes every larger size up to the LP's have one, so only the size below the
+answer is refuted exhaustively, and the smaller ones with it.  A vector is
+one int of fixed-width signed lanes, sized by a Hadamard bound on the
+candidates' minors, so an elimination step is a few whole-int operations;
+the target enters modulo a prime, and every support that passes the
+modular test is confirmed exactly.  One integer eliminator serves that
+confirmation, the survivors' weights (back-substituted in integers;
+``Fraction`` appears only in the final quotients) and the affine
+dimensions, with the exact simplex's step and integer scaling.
 """
 
 from __future__ import annotations
@@ -72,6 +71,7 @@ from .boxes import peres_box
 from .errors import (
     BoxParseError,
     Inconclusive,
+    InvalidDecomposition,
     NotDecomposable,
     NotLocal,
     NotNoncontextual,
@@ -207,19 +207,20 @@ def _checked_terms(terms) -> tuple:
     cleaned = tuple((vid, Fraction(w)) for vid, w in terms)
     for vid, weight in cleaned:
         if weight <= 0:
-            raise ValueError(f"nonpositive weight {weight} on {vid.label}")
+            raise InvalidDecomposition(
+                f"nonpositive weight {weight} on {vid.label}")
     total = sum((w for _, w in cleaned), _ZERO)
     if total != 1:
-        raise ValueError(f"weights sum to {total}, expected 1")
+        raise InvalidDecomposition(f"weights sum to {total}, expected 1")
     if len({vid for vid, _ in cleaned}) != len(cleaned):
-        raise ValueError("duplicate vertex in decomposition")
+        raise InvalidDecomposition("duplicate vertex in decomposition")
     return cleaned
 
 
 def _decomposition(terms, target, vs: _VertexSet) -> Decomposition:
     dec = Decomposition(vs.name, _checked_terms(terms))
     if vs.dists(dec.reconstruct()) != vs.dists(target):
-        raise ValueError(
+        raise InvalidDecomposition(
             f"decomposition does not reconstruct the target {vs.noun}")
     return dec
 
@@ -273,6 +274,13 @@ class _CellTable(NamedTuple):
     build on.  Candidates whose support leaves the target's support cannot
     carry weight in any nonnegative decomposition (the target is 0 where
     they are 1), so dropping them is exact.
+
+    The span filter requires the structure every table here has: each
+    candidate puts one 1 on one support cell per distribution, and each
+    distribution's support cells hold values summing to 1.  The sum of the
+    cell rows, target included, is then the number of distributions times
+    ``[1, ..., 1 | 1]``, so weights that reproduce the target's cells sum
+    to 1 without a row of their own.
     """
 
     ids: tuple
@@ -499,12 +507,6 @@ class DimensionResult:
     nodes_used: int
 
 
-# Least recently used first; holds every search of a long sweep or benchmark
-# run while keeping memory bounded.
-_dimension_cache: dict[tuple, DimensionResult] = {}
-_DIMENSION_CACHE_CAPACITY = 1024
-
-
 #: The prime modulus of the target's images in the span test; every support
 #: that passes the test modulo it is confirmed exactly.
 _SPAN_PRIME = 65521
@@ -513,8 +515,8 @@ _SPAN_PRIME = 65521
 class _SpanFilter:
     """Integer span test of supports, one depth-first descent per size.
 
-    A support is refuted when its columns (cell indicators plus the sum row)
-    are linearly dependent or the target lies outside their span; otherwise
+    A support is refuted when its columns (cell indicators) are linearly
+    dependent or the target lies outside their span; otherwise
     it has unique weights (:meth:`weights`).  Refuting dependent columns is
     exact in the search: a nonnegative solution on dependent columns gives
     one on fewer of them (moving along a null vector drives a weight to
@@ -522,14 +524,15 @@ class _SpanFilter:
     has independent columns.
 
     The vectors are rank-sized.  One fraction-free (Bareiss) echelon pass
-    over the rows of ``[cell rows; sum row | scaled target]`` keeps the rows
-    that become pivots, and every candidate column and the target keep only
+    over the rows of ``[cell rows | scaled target]`` keeps the rows that
+    become pivots, and every candidate column and the target keep only
     their entries there (:attr:`columns`, :attr:`target`).  The other rows
     are combinations of the kept ones, so a combination of columns and
     target that vanishes on the kept rows vanishes everywhere: every linear
     relation among them survives, also when the target lies outside the
-    candidates' span.  The pivots in candidate columns count the
-    candidates' rank, :attr:`rank`.
+    candidates' span.  The weights need no sum row: by the structure
+    :class:`_CellTable` requires, a row of ones is the sum of the cell rows
+    divided by the number of distributions.
 
     The descent (:meth:`spanning`) works on packed vectors: one int of
     fixed-width signed lanes, lane ``i`` holding the entry of kept row
@@ -554,16 +557,12 @@ class _SpanFilter:
         n = len(table.ids)
         scale, target = _integers(table.rhs)
         rows = [[*row, t] for row, t in zip(table.rows, target)]
-        rows.append([1] * n + [scale])
-        basis = _echelon(rows)
-        keep = [r for r, _ in basis]
-        #: Rank of the candidate columns: their hull's affine dimension
-        #: plus one, the Caratheodory cap.
-        self.rank = sum(pc < n for _, (pc, *_) in basis)
+        keep = [r for r, _ in _echelon(rows)]
         self.columns = [[rows[r][j] for r in keep] for j in range(n)]
         self.target = [rows[r][-1] for r in keep]
         self._scale = scale
         self._colbits = table.colbits
+        self._full_mask = table.full_mask
         self._prime = prime = _SPAN_PRIME
         r = len(keep)
         hadamard = isqrt(r ** r - 1) + 1
@@ -597,11 +596,11 @@ class _SpanFilter:
         shift = low - low % self.width
         return shift, self._lane(v, shift)
 
-    def spanning(self, k: int, full_mask: int):
+    def spanning(self, k: int):
         """Every support of ``k`` candidates, in ``itertools.combinations``
-        order, whose cover masks jointly hold ``full_mask`` and whose
-        columns are independent and span the target, with its weights (of
-        either sign).
+        order, whose cover masks jointly hold the table's ``full_mask`` and
+        whose columns are independent and span the target, with its weights
+        (of either sign).
 
         The descent carries, for the path of candidates chosen so far, its
         cover mask, the target's image and the later candidates whose
@@ -611,6 +610,7 @@ class _SpanFilter:
         ``full_mask``; at the last slot a candidate must complete the cover.
         """
         colbits, prime, path = self._colbits, self._prime, []
+        full_mask = self._full_mask
 
         def descend(live, cover, target, d, slots):
             if slots == 1:
@@ -731,12 +731,13 @@ def _combination_rank(subset: Sequence[int], n: int) -> int:
                                 for i, c in enumerate(subset))
 
 
-def _min_subset_search(table: _CellTable, budget: int, target,
-                       vs: _VertexSet) -> DimensionResult:
+def _min_subset_search(target, budget: int, vs: _VertexSet
+                       ) -> DimensionResult:
     """Level search from the top down: the least support size whose
     covering supports include one with weights ``>= 0``, and the first such
     support in ``itertools.combinations`` order.  The target must lie in
-    the polytope.
+    the polytope; its cell table and contextual-fraction LP come from one
+    read of the memo of :func:`_cost_lp`.
 
     Level k is one depth-first descent through the supports of
     ``itertools.combinations(range(n), k)`` in that order
@@ -744,15 +745,19 @@ def _min_subset_search(table: _CellTable, budget: int, target,
     independent columns that span the target, each with its weights.  Call
     level k *feasible* when one of them has weights ``>= 0``.
 
-    Lemma: if level k is feasible and k < r, the rank of the candidate
-    columns (the Caratheodory cap), then level k + 1 is.  Proof: the k
-    columns of the feasible support span a k-dimensional space, and r > k,
-    so some candidate column lies outside it.  Adding that candidate keeps
-    the columns independent and the cover complete, and the target keeps
-    its weights, with weight 0 on the new column.
+    The LP's optimal solution has U positive weights.  It is a basic
+    solution, so those U columns are independent, and they decompose the
+    target (the optimum is 1) and cover every positive cell: level U is
+    feasible, and U is at most r, the rank of the candidate columns.
+
+    Lemma: if level k is feasible and k < U, then level k + 1 is.  Proof:
+    the k columns of the feasible support span a k-dimensional space, and
+    r >= U > k, so some candidate column lies outside it.  Adding that
+    candidate keeps the columns independent and the cover complete, and the
+    target keeps its weights, with weight 0 on the new column.
 
     So feasibility only grows with k, from the least feasible level A up to
-    r, and a refuted level refutes every smaller one.  At level A no weight
+    U, and a refuted level refutes every smaller one.  At level A no weight
     is 0: the columns with nonzero weights would be a feasible support
     smaller than A (independent, spanning the target, and covering every
     positive cell, since each such cell needs a positive weight).  So the
@@ -760,25 +765,23 @@ def _min_subset_search(table: _CellTable, budget: int, target,
     walk finds, and by the same argument a support at level k with ``z``
     nonzero weights, all positive then, makes level ``z`` feasible.
 
-    The contextual-fraction LP's decomposition of the target (read from
-    the memo of :func:`_cost_lp`) has U terms; moving along null vectors
-    brings it to independent columns, so A <= U, and A <= r, so level
-    ``min(U, r)`` is feasible.  The search probes the level below the
-    lowest one known feasible.  A hit with ``z`` nonzero weights makes
-    level ``z`` feasible, and is its first support when ``z = k``; a probe
-    without a hit puts the answer one level up.  So only the level below
-    the answer is refuted exhaustively.  At the answer, unless its probe
-    found its first support, one descent to that support runs, and a zero
-    weight there is a fault.
+    The search probes the level below the lowest one known feasible,
+    starting below U.  A hit with ``z`` nonzero weights makes level ``z``
+    feasible, and is its first support when ``z = k``; a probe without a
+    hit puts the answer one level up.  So only the level below the answer
+    is refuted exhaustively.  At the answer, unless its probe found its
+    first support, one descent to that support runs, and a zero weight
+    there is a fault.
 
     A node is one support in combinations order, size by size from the
     coverage floor: ``nodes_used`` counts every support below the answer,
     refuted by the probe of the level below it or by the lemma, and at the
     answer one more than its support's index in the order.  The search
-    tests no level above ``top``, the largest whose nodes, with every
-    smaller level's, fit in the budget; when it refutes ``top``, the result
-    is the lower bound ``top``.
+    tests no level above ``top``, the largest up to U whose nodes, with
+    every smaller level's, fit in the budget; when it refutes ``top``, the
+    result is the lower bound ``top``.
     """
+    table, lp = _cost_lp(vs.dists(target), vs)
     n = len(table.ids)
     # Every vertex covers exactly one cell per context, so a feasible support
     # needs at least as many vertices as the largest per-context cell count.
@@ -786,19 +789,17 @@ def _min_subset_search(table: _CellTable, budget: int, target,
     if comb(n, k_floor) > budget:  # no level fits the budget: no filter
         return DimensionResult(k_floor - 1, LOWER_BOUND_ONLY, None, n, 0)
     span = _SpanFilter(table)
-    cap = span.rank
+    lp_size = sum(1 for q in lp.x if q > 0)
     top, fitting = k_floor, comb(n, k_floor)  # nodes of levels up to top
-    while top < cap and fitting + comb(n, top + 1) <= budget:
+    while top < lp_size and fitting + comb(n, top + 1) <= budget:
         top += 1
         fitting += comb(n, top)
 
     def first_nonnegative(k):
-        return next(((subset, q)
-                     for subset, q in span.spanning(k, table.full_mask)
+        return next(((subset, q) for subset, q in span.spanning(k)
                      if all(w >= 0 for w in q)), None)
 
-    _, lp = _cost_lp(vs.dists(target), vs)
-    k = min(sum(1 for q in lp.x if q > 0), cap, top + 1) - 1
+    k = min(lp_size, top + 1) - 1
     first = None  # the first support of level k + 1 with weights >= 0
     while k >= k_floor:
         hit = first_nonnegative(k)
@@ -814,7 +815,7 @@ def _min_subset_search(table: _CellTable, budget: int, target,
         first = first_nonnegative(k)
         if first is None:
             raise AssertionError(
-                f"no decomposition within the Caratheodory cap {cap} "
+                f"no decomposition within the LP's support size {lp_size} "
                 f"({vs.name})")
         if not all(first[1]):
             # A zero weight gives a feasible smaller level, and the level
@@ -840,21 +841,25 @@ def _min_dimension(target, budget: int | None, vs: _VertexSet, membership,
                    outside_error: Exception) -> DimensionResult:
     """Cached minimal-dimension search; ``membership(target)`` must hold
     first, else ``outside_error`` is raised."""
-    budget = _budget_value(budget)
-    key = (vs.name, vs.dists(target), budget)
-    cached = _dimension_cache.pop(key, None)
-    if cached is not None:
-        _dimension_cache[key] = cached
-        return cached
-    member, _ = membership(target)
-    if not member:
+    result = _cached_dimension(vs.dists(target), _budget_value(budget), vs,
+                               membership)
+    if result is None:
         raise outside_error
-    table, _ = _cost_lp(vs.dists(target), vs)
-    result = _min_subset_search(table, budget, target, vs)
-    _dimension_cache[key] = result
-    if len(_dimension_cache) > _DIMENSION_CACHE_CAPACITY:
-        del _dimension_cache[next(iter(_dimension_cache))]
     return result
+
+
+@lru_cache(maxsize=1024)
+def _cached_dimension(dists: tuple, budget: int, vs: _VertexSet, membership
+                      ) -> DimensionResult | None:
+    """The search on the target with distributions ``dists``, or None when
+    ``membership`` puts it outside the polytope.  Keyed without labels and
+    by the membership function the caller looked up, so a hit calls
+    neither; 1024 entries hold every search of a long sweep or benchmark
+    run while keeping memory bounded."""
+    target = vs.target(dists)
+    if not membership(target)[0]:
+        return None
+    return _min_subset_search(target, budget, vs)
 
 
 def min_nc_dimension(box: Box, budget: int | None = None) -> DimensionResult:

@@ -84,6 +84,11 @@ class MalformedProgram(BoxlabError):
     """A linear program's dimensions or senses are inconsistent."""
 
 
+class InvalidDecomposition(BoxlabError, ValueError):
+    """A decomposition's weights are not a convex mixture of distinct
+    vertices, or its mixture is not the target."""
+
+
 class NotDecomposable(BoxlabError):
     """No mixture of the ideal contextual box and a noncontextual box exists."""
 

@@ -140,3 +140,9 @@ def exact_affine_rank(vectors) -> int:
         for vec in vectors[1:]
     ]
     return sympy.Matrix(rows).rank()
+
+
+def exact_rank(vectors) -> int:
+    """Rank of a vector family via exact rational elimination."""
+    return sympy.Matrix([[sympy.Rational(x) for x in vec]
+                         for vec in vectors]).rank()

@@ -54,7 +54,7 @@ from boxlab.decompose import (
     product_lhv_terms,
     product_terms_marginal,
 )
-from boxlab.errors import BoxParseError, ParameterOutOfRange
+from boxlab.errors import BoxlabError, BoxParseError, ParameterOutOfRange
 from boxlab.exactlp import (INFEASIBLE, LinearProgram, LPResult,
                             _bareiss_step, solve)
 from boxlab.quantum import make_observables, make_state, quantum_box
@@ -249,6 +249,27 @@ class TestDecompositionJson:
         ]
         with pytest.raises(ValueError, match="duplicate"):
             decomposition_from_json(data, noise_box())
+
+    # Each validation failure, reached from outside JSON, is a library error
+    # (and still a ValueError).
+    @pytest.mark.parametrize("weights, message", [
+        (("-1/2", "3/2"), "nonpositive weight"),
+        (("2",), "weights sum to 2, expected 1"),
+        (("1/2", "1/2"), "duplicate vertex"),
+        (("1",), "does not reconstruct"),
+    ], ids=["nonpositive", "wrong-sum", "duplicate", "no-reconstruction"])
+    @pytest.mark.parametrize("target, vertices", [
+        (noise_box(), ("(0000)(00)", "(0000)(01)")),
+        (bell_marginal(noise_box()), ("0000", "0001")),
+    ], ids=["box", "marginal"])
+    def test_validation_errors_are_boxlab_errors(self, weights, message,
+                                                 target, vertices):
+        if message == "duplicate vertex":
+            vertices = vertices[:1] * 2
+        data = [{"vertex": v, "weight": w} for v, w in zip(vertices, weights)]
+        with pytest.raises(BoxlabError, match=message) as raised:
+            decomposition_from_json(data, target)
+        assert isinstance(raised.value, ValueError)
 
     @pytest.mark.parametrize("data, message", [
         ({"vertex": "(0000)(00)", "weight": "1"}, "must be a list"),
@@ -596,7 +617,7 @@ class TestCostLpMemo:
 
         decompose._cost_lp.cache_clear()
         monkeypatch.setattr(decompose, "solve", recording)
-        monkeypatch.setattr(decompose, "_dimension_cache", {})
+        decompose._cached_dimension.cache_clear()
         return programs
 
     def test_alternating_box_and_marginal(self, monkeypatch):
@@ -755,22 +776,28 @@ class TestMinNcDimension:
         assert result.dimension <= 8
         assert result.filtered_count == 16
 
-    def test_cache_evicts_least_recently_used(self, monkeypatch):
-        monkeypatch.setattr(decompose, "_dimension_cache", {})
-        monkeypatch.setattr(decompose, "_DIMENSION_CACHE_CAPACITY", 4)
-        boxes = [noisy_peres_box(f"{k}/20") for k in range(1, 7)]
+    def test_repeated_search_is_a_memo_hit(self, monkeypatch):
+        assert decompose._cached_dimension.cache_info().maxsize == 1024
+        calls = []
 
-        def key(box):
-            return (decompose._NC.name, decompose._NC.dists(box), 0)
+        def counted(fn):
+            def wrapper(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+            return wrapper
 
-        results = [min_nc_dimension(box, 0) for box in boxes[:5]]
-        cache = decompose._dimension_cache
-        assert list(cache) == [key(box) for box in boxes[1:5]]
-        # A hit returns the stored result and makes it the newest entry.
-        assert min_nc_dimension(boxes[4], 0) is results[4]
-        assert min_nc_dimension(boxes[1], 0) is results[1]
-        min_nc_dimension(boxes[5], 0)
-        assert list(cache) == [key(boxes[k]) for k in (3, 4, 1, 5)]
+        decompose._cached_dimension.cache_clear()
+        decompose._cost_lp.cache_clear()
+        monkeypatch.setattr(decompose, "nc_membership",
+                            counted(nc_membership))
+        monkeypatch.setattr(decompose, "solve", counted(solve))
+        first = min_nc_dimension(noise_box(), 2_000)
+        assert set(calls) == {"nc_membership", "solve"}
+        calls.clear()
+        # The memo is keyed by the distributions, not the label.
+        assert min_nc_dimension(noise_box().with_label("again"),
+                                2_000) is first
+        assert calls == []
 
 
 NC_REFUTATION_CASES = [
@@ -1047,12 +1074,13 @@ def labels(result):
 
 def cell_system(table):
     """The support-independent parts of the cell equations: each candidate's
-    column (0/1 cell indicators, then 1 for the sum row) and the right-hand
-    side (the target's cell values, then 1)."""
+    column of 0/1 cell indicators and the right-hand side, the target's cell
+    values.  Every table holds a row of ones in the span of its cell rows,
+    so weights that solve them sum to 1."""
     n_rows = len(table.rhs)
-    columns = [[(bits >> r) & 1 for r in range(n_rows)] + [1]
+    columns = [[(bits >> r) & 1 for r in range(n_rows)]
                for bits in table.colbits]
-    return columns, [*table.rhs, Fraction(1)]
+    return columns, list(table.rhs)
 
 
 def fraction_solve(columns, rhs):
@@ -1194,7 +1222,7 @@ class TestPinnedSearches:
             calls.append(subset)
             return weights(span, subset)
 
-        monkeypatch.setattr(decompose, "_dimension_cache", {})
+        decompose._cached_dimension.cache_clear()
         monkeypatch.setattr(decompose._SpanFilter, "weights", counting)
         result = min_nc_dimension(noisy_peres_box("1/4"))
         assert labels(result) == NOISY_QUARTER_SUPPORT
@@ -1207,7 +1235,7 @@ class TestGoldenDimensions:
     # exception, must stay the same.
     def test_every_search_matches_the_record(self, monkeypatch):
         monkeypatch.delenv("BOXLAB_BUDGET", raising=False)
-        monkeypatch.setattr(decompose, "_dimension_cache", {})
+        decompose._cached_dimension.cache_clear()
         recorded = json.loads(golden_dimensions.GOLDEN_PATH.read_text())
         computed = golden_dimensions.golden_entries()
         assert len(computed) == len(recorded)
@@ -1226,7 +1254,7 @@ class TestSearchMatchesReferenceWalk:
         for budget in (0, 2_000, *level_boundaries(table, 200_000), 200_000):
             expected = reference_search(table, budget, target, vs)
             assert decompose._min_subset_search(
-                table, budget, target, vs) == expected, budget
+                target, budget, vs) == expected, budget
 
     @pytest.mark.parametrize("vs, target, max_size", [
         (decompose._NC, noise_box(), 3),
@@ -1309,6 +1337,33 @@ class TestLevelsOnlyGrow:
         assert_levels_only_grow(decompose._cell_table(target, vs))
 
 
+def assert_lp_bound_within_rank(target, vs, name=None):
+    """The fact the search's only upper bound rests on: the
+    contextual-fraction LP's solution is basic, so its U positive weights
+    sit on independent columns, and U is at most the rank of all the
+    candidate columns."""
+    table, lp = decompose._cost_lp(vs.dists(target), vs)
+    columns, _ = cell_system(table)
+    positive = [column for column, q in zip(columns, lp.x) if q > 0]
+    assert oracles.exact_rank(positive) == len(positive), name
+    assert len(positive) <= oracles.exact_rank(columns), name
+
+
+class TestLpBoundWithinRank:
+    def test_golden_targets(self):
+        for name, kind, target in golden_dimensions.golden_targets():
+            vs = decompose._NC if kind == "NC" else decompose._LHV
+            assert_lp_bound_within_rank(target, vs, (name, kind))
+
+    @pytest.mark.parametrize("vs, size", REFERENCE_MIXTURES,
+                             ids=[f"{vs.name}-{size}"
+                                  for vs, size in REFERENCE_MIXTURES])
+    def test_random_mixtures(self, vs, size):
+        target = random_mixture(random.Random(f"{vs.name}-{size}"), vs,
+                                size, big=size % 2 == 1)
+        assert_lp_bound_within_rank(target, vs)
+
+
 class TestRankSizedSpanFilter:
     # Cells 0 and 1 hold the same entry in every candidate, so a row basis
     # chosen from the candidates alone drops one of them; the target
@@ -1318,24 +1373,26 @@ class TestRankSizedSpanFilter:
     def test_target_outside_the_span_refutes_every_subset(self):
         table = bits_table((0b011, 0b100, 0b111), (0b001, 0b100),
                            [Fraction(1, 2), Fraction(1, 2)], 3)
-        span = decompose._SpanFilter(table)
-        assert span.rank == 3
+        span = decompose._SpanFilter(table._replace(full_mask=0))
+        # The target's row is kept: its column is outside the candidates'
+        # span, so the system's rank is one more than theirs.
+        assert len(span.target) == 4
         for k in range(1, 4):
-            assert list(span.spanning(k, 0)) == [], k
+            assert list(span.spanning(k)) == [], k
             for subset in itertools.combinations(range(3), k):
                 assert span.weights(subset) is None, subset
         assert_span_filter_matches_ranks(table, 3)
 
-    # The cell system has one row per support cell plus the sum row.
+    # The cell system has one row per support cell.
     @pytest.mark.parametrize("vs, target, rows, rank", [
-        (decompose._NC, noisy_peres_box("1/4"), 21, 10),
-        (decompose._LHV, bell_marginal(noisy_peres_box("1/4")), 17, 9),
+        (decompose._NC, noisy_peres_box("1/4"), 20, 10),
+        (decompose._LHV, bell_marginal(noisy_peres_box("1/4")), 16, 9),
     ], ids=["noisy-quarter", "noisy-quarter-marginal"])
     def test_vectors_have_rank_length(self, vs, target, rows, rank):
         table = decompose._cell_table(target, vs)
         span = decompose._SpanFilter(table)
-        assert len(table.rhs) + 1 == rows
-        assert span.rank == rank
+        assert len(table.rhs) == rows
+        assert oracles.exact_rank(cell_system(table)[0]) == rank
         assert {len(column) for column in span.columns} == {rank}
         assert len(span.target) == rank
 
@@ -1413,9 +1470,10 @@ class TestPackedDescent:
         assert unpack(span, span._packed_target) == [
             t % decompose._SPAN_PRIME for t in span.target]
         assert [unpack(span, v) for v in span._packed] == span.columns
+        uncovered = decompose._SpanFilter(table._replace(full_mask=0))
         for k in range(1, 6):
-            list(span.spanning(k, 0))
-            list(span.spanning(k, table.full_mask))
+            list(uncovered.spanning(k))
+            list(span.spanning(k))
         assert steps
         assert_packed_steps_match_lists(span, steps)
 
@@ -1427,13 +1485,13 @@ class TestPackedDescent:
         target = random_mixture(random.Random(f"{vs.name}-{size}"), vs,
                                 size, big=True)
         table = decompose._cell_table(target, vs)
-        span = decompose._SpanFilter(table)
+        span = decompose._SpanFilter(table._replace(full_mask=0))
         for k in range(1, 4):
-            list(span.spanning(k, 0))
+            list(span.spanning(k))
         assert unpack(span, span._packed_target) == [
             t % decompose._SPAN_PRIME for t in span.target]
         # The search's own steps, with its cover masks and its filter.
-        decompose._min_subset_search(table, 200_000, target, vs)
+        decompose._min_subset_search(target, 200_000, vs)
         assert_packed_steps_match_lists(span, steps)
 
     # With a prime of 2 or 3 many supports pass the modular test without
@@ -1451,7 +1509,7 @@ class TestPackedDescent:
             for prime in (2, 3):
                 monkeypatch.setattr(decompose, "_SPAN_PRIME", prime)
                 assert decompose._min_subset_search(
-                    table, budget, target, vs) == expected, (budget, prime)
+                    target, budget, vs) == expected, (budget, prime)
 
     def test_tiny_prime_sends_false_passes_to_the_confirmation(
             self, monkeypatch):
@@ -1466,9 +1524,7 @@ class TestPackedDescent:
         monkeypatch.setattr(decompose._SpanFilter, "weights", counting)
         monkeypatch.setattr(decompose, "_SPAN_PRIME", 2)
         box = noisy_peres_box("1/4")
-        table = decompose._cell_table(box, decompose._NC)
-        result = decompose._min_subset_search(table, 200_000, box,
-                                              decompose._NC)
+        result = decompose._min_subset_search(box, 200_000, decompose._NC)
         assert (labels(result), result.nodes_used) == (NOISY_QUARTER_SUPPORT,
                                                        38_854)
         assert sum(calls) > 0
@@ -1479,9 +1535,9 @@ class TestPackedDescent:
         sizes = []
         spanning = decompose._SpanFilter.spanning
 
-        def recording(span, k, full_mask):
+        def recording(span, k):
             sizes.append(k)
-            return spanning(span, k, full_mask)
+            return spanning(span, k)
 
         monkeypatch.setattr(decompose._SpanFilter, "spanning", recording)
         return sizes
@@ -1501,7 +1557,7 @@ class TestPackedDescent:
     def test_sizes_opened(self, monkeypatch, target, vs, sizes, dimension):
         opened = self.record_sizes(monkeypatch)
         table = decompose._cell_table(target, vs)
-        result = decompose._min_subset_search(table, 200_000, target, vs)
+        result = decompose._min_subset_search(target, 200_000, vs)
         assert opened == sizes
         assert (result.dimension, result.status) == (dimension, EXACT)
         assert result == reference_search(table, 200_000, target, vs)
@@ -1523,9 +1579,8 @@ class TestPackedDescent:
 
         monkeypatch.setattr(decompose._SpanFilter, "weights", zeroed)
         box = fx.build_box(fx.RANK2_PERES_TABLE)
-        table = decompose._cell_table(box, decompose._NC)
         with pytest.raises(AssertionError, match="smaller support escaped"):
-            decompose._min_subset_search(table, 200_000, box, decompose._NC)
+            decompose._min_subset_search(box, 200_000, decompose._NC)
         assert opened == [6, 7]
 
     @pytest.mark.parametrize("n", range(9))
@@ -1547,8 +1602,7 @@ class TestPackedDescent:
                                                 status, nodes):
         box = noisy_peres_box("1/4")
         table = decompose._cell_table(box, decompose._NC)
-        result = decompose._min_subset_search(table, budget, box,
-                                              decompose._NC)
+        result = decompose._min_subset_search(box, budget, decompose._NC)
         assert (result.dimension, result.status, result.nodes_used) == (
             dimension, status, nodes)
         assert result == reference_search(table, budget, box, decompose._NC)
@@ -1556,12 +1610,19 @@ class TestPackedDescent:
 
 def bits_table(colbits, mixed, weights, n_rows):
     """A cell table over ``n_rows`` cells whose candidates are ``colbits`` and
-    whose target mixes the columns ``mixed`` with ``weights``."""
+    whose target mixes the columns ``mixed`` with ``weights``, which sum to
+    1, plus a one-cell distribution that every candidate covers, with value
+    1: the row of ones the span filter finds among the cell rows of every
+    table ``_cell_table`` builds."""
+    ones = 1 << n_rows
+    colbits = tuple(bits | ones for bits in colbits)
+    mixed = [bits | ones for bits in mixed]
+    n_rows += 1
     rhs = tuple(sum((w for w, bits in zip(weights, mixed) if bits >> r & 1),
                     Fraction(0)) for r in range(n_rows))
     return decompose._CellTable(
         ids=tuple(range(len(colbits))), colbits=colbits,
-        cells=tuple((0, r) for r in range(n_rows)), rhs=rhs,
+        cells=(*((0, r) for r in range(n_rows - 1)), (1, 0)), rhs=rhs,
         full_mask=(1 << n_rows) - 1, context_cell_counts=(),
         rows=tuple(tuple(bits >> r & 1 for bits in colbits)
                    for r in range(n_rows)))
@@ -1573,7 +1634,7 @@ def assert_span_filter_matches_ranks(table, max_size):
     depth; the descent must yield exactly the subsets without a rank
     failure, in combinations order, each with the Fraction solve's weights,
     and the exact confirmation must refute every other subset."""
-    span = decompose._SpanFilter(table)
+    span = decompose._SpanFilter(table._replace(full_mask=0))
     columns, rhs = cell_system(table)
     for k in range(1, max_size + 1):
         expected = []
@@ -1582,4 +1643,4 @@ def assert_span_filter_matches_ranks(table, max_size):
             assert span.weights(subset) == q, subset
             if q is not None:
                 expected.append((subset, q))
-        assert list(span.spanning(k, 0)) == expected, k
+        assert list(span.spanning(k)) == expected, k

@@ -1046,9 +1046,7 @@ class TestBareissStep:
         monkeypatch.setattr(decompose, "_bareiss_step", checked_step(search))
         monkeypatch.setattr(exactlp, "_bareiss_step", checked_step(simplex))
         box = noise_box()
-        table = decompose._cell_table(box, decompose._NC)
-        result = decompose._min_subset_search(table, 10_000, box,
-                                              decompose._NC)
+        result = decompose._min_subset_search(box, 10_000, decompose._NC)
         assert (result.dimension, result.nodes_used) == (4, 47)
         for lp in classify_programs(noisy_peres_box("1/3")):
             solve(lp)

@@ -312,7 +312,7 @@ class TestClassifyCallPaths:
 
             monkeypatch.setattr(module, name, counted)
 
-        monkeypatch.setattr(decompose, "_dimension_cache", {})
+        decompose._cached_dimension.cache_clear()
         decompose._cost_lp.cache_clear()
         count(decompose, "solve")
         count(decompose, "nc_membership")
@@ -353,7 +353,7 @@ class TestClassifyCallPaths:
             return build(target, vs)
 
         monkeypatch.setattr(decompose, "_cell_table", counted)
-        monkeypatch.setattr(decompose, "_dimension_cache", {})
+        decompose._cached_dimension.cache_clear()
         decompose._cost_lp.cache_clear()
         return tables
 
