@@ -44,6 +44,8 @@ from .errors import (
 from .quantum import (
     DEFAULT_MAX_DENOMINATOR,
     DEFAULT_TOLERANCE,
+    OBSERVABLE_SETS,
+    STATE_FAMILIES,
     make_observables,
     make_state,
     quantum_box,
@@ -74,9 +76,9 @@ MAX_SWEEP_STEPS = 10_000
 
 #: Box families generated directly from exact matrices (no quantum step).
 FAMILY_CHOICES = ("peres", "noise", "noisy-peres", "uniform")
-STATE_CHOICES = ("max-entangled", "werner", "cc", "rank2", "rank3-rho",
-                 "rank3-sigma")
-OBSERVABLE_CHOICES = ("peres", "product", "rotated")
+#: The quantum state families, spelled with ``-`` on the command line.
+STATE_CHOICES = tuple(name.replace("_", "-") for name in STATE_FAMILIES)
+OBSERVABLE_CHOICES = OBSERVABLE_SETS
 
 SWEEP_COLUMNS = (
     "W", "W_dec", "ineq_lhs", "ineq_lhs_dec", "contextual", "cost",

@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -267,13 +268,15 @@ class _CellTable(NamedTuple):
     """A target and its support-filtered candidates in shared cell indexing.
 
     ``cells[r]`` is support cell ``r`` as ``(i, j)``, entry ``j`` of
-    distribution ``i``, and ``rhs[r]`` the target's value there;
-    ``colbits[j]`` has bit ``r`` set iff candidate ``j`` puts its mass on
-    cell ``r``; ``rows[r]`` is cell ``r``'s 0/1 cover row, entry ``j``
-    set iff candidate ``j`` does, the row every LP and the span filter
-    build on.  Candidates whose support leaves the target's support cannot
-    carry weight in any nonnegative decomposition (the target is 0 where
-    they are 1), so dropping them is exact.
+    distribution ``i``, and ``rhs[r]`` the target's value there; counting
+    the cells by ``i`` gives each distribution's support size, which the
+    subset search reads as its floor.  ``colbits[j]`` has bit ``r`` set iff
+    candidate ``j`` puts its mass on cell ``r``; ``rows[r]`` is cell
+    ``r``'s 0/1 cover row, entry ``j`` set iff candidate ``j`` does, the
+    row every LP and the span filter build on.  Candidates whose support
+    leaves the target's support cannot carry weight in any nonnegative
+    decomposition (the target is 0 where they are 1), so dropping them is
+    exact.
 
     The span filter requires the structure every table here has: each
     candidate puts one 1 on one support cell per distribution, and each
@@ -288,22 +291,17 @@ class _CellTable(NamedTuple):
     cells: tuple[tuple[int, int], ...]
     rhs: tuple[Fraction, ...]
     full_mask: int
-    context_cell_counts: tuple[int, ...]
     rows: tuple[tuple[int, ...], ...]
 
 
 def _cell_table(target, vs: _VertexSet) -> _CellTable:
     cell_index: dict[tuple[int, int], int] = {}
     rhs: list[Fraction] = []
-    counts = []
     for i, dist in enumerate(vs.dists(target)):
-        count = 0
         for j, p in enumerate(dist):
             if p > 0:
                 cell_index[(i, j)] = len(rhs)
                 rhs.append(p)
-                count += 1
-        counts.append(count)
     ids, colbits = [], []
     for vid, cells in _vertex_cells(vs).items():
         bits = 0
@@ -318,7 +316,7 @@ def _cell_table(target, vs: _VertexSet) -> _CellTable:
     rows = tuple(tuple([(bits >> r) & 1 for bits in colbits])
                  for r in range(len(rhs)))
     return _CellTable(tuple(ids), tuple(colbits), tuple(cell_index),
-                      tuple(rhs), (1 << len(rhs)) - 1, tuple(counts), rows)
+                      tuple(rhs), (1 << len(rhs)) - 1, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -785,7 +783,7 @@ def _min_subset_search(target, budget: int, vs: _VertexSet
     n = len(table.ids)
     # Every vertex covers exactly one cell per context, so a feasible support
     # needs at least as many vertices as the largest per-context cell count.
-    k_floor = max(table.context_cell_counts)
+    k_floor = max(Counter(i for i, _ in table.cells).values())
     if comb(n, k_floor) > budget:  # no level fits the budget: no filter
         return DimensionResult(k_floor - 1, LOWER_BOUND_ONLY, None, n, 0)
     span = _SpanFilter(table)

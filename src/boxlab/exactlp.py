@@ -68,18 +68,22 @@ is handed back.  An optimal solution is read as integer numerators ``num``
 over one denominator ``den = d*t`` (``num[j]`` is the right-hand side of
 the row where column ``j`` is basic, else 0) and re-checked in those
 integers against the program's own rows, not the tableau: ``num >= 0``,
-``a.num == b*den`` on every equality row, ``a.num <= b*den`` on every
-``<=`` row, and ``c.num == value*den``.  Only then is ``x = num / den``
-built.  Row r started on the unit column ``j``, so ``d`` times its dual is
-``d*c[j] - cost[j]`` in the final tableau, and one checker
-(:func:`_verify_dual`) tests that vector against the standard-form rows.
-From phase 1 it is a Farkas vector, proving infeasibility; from a phase 2
-with no phase 1 (every row started on its slack) it proves the optimum, so
-the contextual-fraction LP and every membership verdict read from it (see
-:mod:`.decompose`) are certified.  An optimum that needed phase 1 rests on
-the simplex and the constraint check.  Every variable is nonnegative.  No
-program this package builds has an unbounded objective, so one is reported
-as :class:`~boxlab.errors.MalformedProgram` rather than as a status.
+``a.num == b*den`` on every equality row and ``a.num <= b*den`` on every
+``<=`` row, each compared as ``a.num * q`` against ``p * den`` for ``b =
+p/q``, so integer rows compare only ints.  That proves the solution
+feasible.  Only then is ``x = num / den`` built, and the objective value
+read from the same numerators.  Row r started on the unit column ``j``, so
+``d`` times its dual is ``d*c[j] - cost[j]`` in the final tableau, and one
+checker (:func:`_verify_dual`) tests that vector against the standard-form
+rows.  From phase 1 it is a Farkas vector, proving infeasibility; from a
+phase 2 with no phase 1 (every row started on its slack) it proves the
+optimum, so the contextual-fraction LP and every membership verdict read
+from it (see :mod:`.decompose`) are certified.  An optimum that needed
+phase 1, the Peres strength's among them, is proved feasible, not
+optimal: its optimality rests on the simplex alone.  Every variable is
+nonnegative.  No program this package builds has an unbounded objective,
+so one is reported as :class:`~boxlab.errors.MalformedProgram` rather than
+as a status.
 """
 
 from __future__ import annotations
@@ -407,9 +411,8 @@ def solve(lp: LinearProgram) -> LPResult:
     for row, col in zip(tableau.rows, tableau.basis):
         if col < n:
             num[col] = row[-1]
+    _verify_solution(eq_rows, eq_rhs, le_rows, le_rhs, num, den)
     value = Fraction(sum(a * v for a, v in zip(objective, num) if v), den)
-    _verify_solution(objective, eq_rows, eq_rhs, le_rows, le_rhs, num, den,
-                     value)
     x = tuple(Fraction(v, den) if v else _ZERO for v in num)
     if artificial:
         return LPResult(OPTIMAL, value, x)
@@ -488,13 +491,13 @@ def _verify_dual(rows: list[list[Fraction]], b: list[int], t: int,
         raise AssertionError("optimality certificate has y.b != optimum")
 
 
-def _verify_solution(objective, eq_rows, eq_rhs, le_rows, le_rhs,
-                     num: list[int], den: int, value: Fraction) -> None:
-    """Check the solution ``x = num / den`` and its objective ``value``
-    against the program's own rows, multiplied through by ``den``:
-    ``num >= 0`` with ``den > 0``, ``a . num == b * den`` on every equality
-    row, ``a . num <= b * den`` on every ``<=`` row, and ``objective . num
-    == value * den``.  On integer rows each product is int by int; Fraction
+def _verify_solution(eq_rows, eq_rhs, le_rows, le_rhs, num: list[int],
+                     den: int) -> None:
+    """Check the solution ``x = num / den`` against the program's own rows,
+    multiplied through by ``den``: ``num >= 0`` with ``den > 0``, and the
+    excess ``a . num - b * den`` is 0 on every equality row and at most 0
+    on every ``<=`` row.  The excess is taken times ``b``'s denominator, so
+    on integer rows it is an int (an int ``b`` has denominator 1); Fraction
     rows go through the same sums, exactly, by Python's number tower."""
     if den <= 0 or any(v < 0 for v in num):
         raise AssertionError("simplex returned a negative variable")
@@ -502,12 +505,11 @@ def _verify_solution(objective, eq_rows, eq_rhs, le_rows, le_rhs,
     # entries as rows, and most coefficients here are 0.
     nonzero = [(j, v) for j, v in enumerate(num) if v]
 
-    def dot(row):
-        return sum(row[j] * v for j, v in nonzero if row[j])
+    def excess(row, b):
+        return (sum(row[j] * v for j, v in nonzero if row[j]) * b.denominator
+                - b.numerator * den)
 
-    if any(dot(row) != b * den for row, b in zip(eq_rows, eq_rhs)):
+    if any(excess(row, b) for row, b in zip(eq_rows, eq_rhs)):
         raise AssertionError("simplex solution violates an equality")
-    if any(dot(row) > b * den for row, b in zip(le_rows, le_rhs)):
+    if any(excess(row, b) > 0 for row, b in zip(le_rows, le_rhs)):
         raise AssertionError("simplex solution violates an inequality")
-    if dot(objective) != value * den:
-        raise AssertionError("objective value mismatch")

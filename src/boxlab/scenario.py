@@ -280,6 +280,11 @@ class BellMarginal:
     label: str | None = None
 
     def dist(self, x: int, y: int) -> tuple[Fraction, ...]:
+        """p(a b | A_x B_y); :class:`ParameterOutOfRange` unless both
+        settings are 0 or 1."""
+        if (x, y) not in BELL_SETTINGS:
+            raise ParameterOutOfRange(
+                f"Bell settings must be 0 or 1, got ({x!r}, {y!r})")
         return self.dists[2 * x + y]
 
 

@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -20,11 +21,13 @@ import pytest
 import boxlab
 import fixtures as fx
 from boxlab import cli
+from boxlab.boxes import noisy_peres_box
 from boxlab.cli import SWEEP_COLUMNS, main
 from boxlab.errors import BoxParseError
+from boxlab.quantum import make_observables, make_state, quantum_box
 from boxlab.scenario import box_from_json_dict, box_to_json_dict
 from boxlab.vertices import enumerate_local_vertices, enumerate_nc_vertices
-from boxlab.witnesses import CSV_COLUMNS
+from boxlab.witnesses import CSV_COLUMNS, classify, report_to_csv_row
 
 
 def run_cli(capsys, *argv):
@@ -391,7 +394,40 @@ class TestAnalyze:
         assert "D" in err
 
 
+#: Each sweep column's counterpart among the analyze CSV columns; the
+#: sweep's min_nc_dim is that dimension when exact, else blank.
+SHARED_COLUMNS = {
+    "ineq_lhs": "inequality_lhs", "ineq_lhs_dec": "inequality_lhs_dec",
+    "contextual": "contextual", "cost": "cost", "cost_dec": "cost_dec",
+    "Q": "q_witness", "Q_dec": "q_witness_dec", "cov_DE": "cov_DE",
+    "cov_DE_dec": "cov_DE_dec", "peres_strength": "peres_strength",
+    "peres_strength_dec": "peres_strength_dec",
+    "sdi_contextual": "sdi_contextual",
+}
+
+
 class TestSweep:
+    @pytest.mark.parametrize("source", ["noisy-peres", "werner-product"])
+    def test_rows_agree_with_classify(self, source):
+        # The noisy family at W = i/12; the Werner state with product
+        # observables, whose boxes take the Peres strength's off-support
+        # branch and searches of size 4 and 6, at W = 0, 1/2, 1.
+        if source == "noisy-peres":
+            grid = [Fraction(i, 12) for i in range(13)]
+            boxes = [noisy_peres_box(w) for w in grid]
+        else:
+            grid = [Fraction(0), Fraction(1, 2), Fraction(1)]
+            boxes = [quantum_box(make_state("werner", w),
+                                 make_observables("product")) for w in grid]
+        for w, box in zip(grid, boxes):
+            row = cli._sweep_row(w, box, None)
+            report = dict(zip(CSV_COLUMNS, report_to_csv_row(classify(box))))
+            assert {c: row[c] for c in SHARED_COLUMNS} == \
+                {c: report[r] for c, r in SHARED_COLUMNS.items()}, w
+            exact = report["min_nc_dim_status"] == "exact"
+            assert row["min_nc_dim"] == (report["min_nc_dim"] if exact
+                                         else ""), w
+
     def test_noisy_family_golden_csv(self, capsys):
         code, out, err = run_cli(
             capsys, "sweep", "--family", "noisy-peres", "--from", "0",

@@ -1126,7 +1126,8 @@ def reference_search(table, budget, target, vs):
     columns, rhs = cell_system(table)
     cap = min(n, oracles.exact_affine_rank(columns) + 1)
     nodes = 0
-    for k in range(max(table.context_cell_counts), cap + 1):
+    floor = max(Counter(i for i, _ in table.cells).values())
+    for k in range(floor, cap + 1):
         if nodes + comb(n, k) > budget:
             return DimensionResult(k - 1, LOWER_BOUND_ONLY, None, n, nodes)
         for subset in itertools.combinations(range(n), k):
@@ -1153,7 +1154,8 @@ def level_boundaries(table, limit):
     n = len(table.ids)
     cap = min(n, oracles.exact_affine_rank(cell_system(table)[0]) + 1)
     total, budgets = 0, []
-    for k in range(max(table.context_cell_counts), cap + 1):
+    floor = max(Counter(i for i, _ in table.cells).values())
+    for k in range(floor, cap + 1):
         total += comb(n, k)
         if total > limit:
             break
@@ -1301,7 +1303,8 @@ def assert_levels_only_grow(table):
     weights positive."""
     columns, _ = cell_system(table)
     cap = min(len(table.ids), oracles.exact_affine_rank(columns) + 1)
-    sizes = range(max(table.context_cell_counts), cap + 1)
+    floor = max(Counter(i for i, _ in table.cells).values())
+    sizes = range(floor, cap + 1)
     feasible = [next(oracle_supports(table, k), None) is not None
                 for k in sizes]
     assert feasible == sorted(feasible) and feasible[-1], feasible
@@ -1623,7 +1626,7 @@ def bits_table(colbits, mixed, weights, n_rows):
     return decompose._CellTable(
         ids=tuple(range(len(colbits))), colbits=colbits,
         cells=(*((0, r) for r in range(n_rows - 1)), (1, 0)), rhs=rhs,
-        full_mask=(1 << n_rows) - 1, context_cell_counts=(),
+        full_mask=(1 << n_rows) - 1,
         rows=tuple(tuple(bits >> r & 1 for bits in colbits)
                    for r in range(n_rows)))
 

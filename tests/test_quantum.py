@@ -1,5 +1,6 @@
 """Two-qubit states, observable sets, and exact box generation."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,12 @@ import pytest
 
 import fixtures as fx
 from boxlab.boxes import noisy_peres_box
-from boxlab.errors import NoExactRationalization, ParameterOutOfRange
+from boxlab.errors import (
+    ContextNotCommuting,
+    NegativeProbability,
+    NoExactRationalization,
+    ParameterOutOfRange,
+)
 from boxlab.quantum import (
     box_from_state,
     check_density,
@@ -230,3 +236,63 @@ class TestSeparableConstruction:
         for alice, bob in terms:
             acc += np.kron(alice.density(), bob.density()) / len(terms)
         assert np.max(np.abs(acc - werner_third_from_products())) < 1e-12
+
+
+def _parity_with(**matrices):
+    """The parity observable set with the named matrices replaced."""
+    return replace(make_observables("peres"), **matrices)
+
+
+def _diagonal(*entries):
+    return np.diag(np.array(entries, dtype=complex))
+
+
+class TestValidationChecks:
+    """Each validation check of the state, observable, probability and
+    identity steps, reached by an input that fails only that check."""
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: make_state("werner", object()), ParameterOutOfRange,
+         "cannot interpret parameter"),
+        (lambda: make_state("cc", "1/2"), ParameterOutOfRange,
+         "takes no parameter"),
+        (lambda: check_density(np.eye(2) / 2), ValueError, "must be 4x4"),
+        (lambda: check_density(_diagonal(1, 0, 0, 0) + np.triu(
+            np.ones((4, 4)), 1)), ValueError, "not Hermitian"),
+        (lambda: check_density(_diagonal(1.5, -0.5, 0, 0)), ValueError,
+         "negative eigenvalue"),
+        (lambda: check_observables(_parity_with(A0=np.eye(2))), ValueError,
+         "observable A0 must be 4x4"),
+        (lambda: check_observables(_parity_with(A0=np.triu(np.ones((4, 4))))),
+         ValueError, "observable A0 is not Hermitian"),
+        (lambda: check_observables(_parity_with(A0=2 * np.eye(4))),
+         ValueError, "observable A0 spectrum"),
+        # B0 = X (x) 1 does not commute with A0 = Z (x) 1.
+        (lambda: check_observables(_parity_with(
+            B0=make_observables("peres").A1)), ContextNotCommuting,
+         r"\[A0, B0\] != 0 in context C0"),
+        # An eigenvalue of -5e-11 passes the density check (1e-10) but
+        # gives the outcome 11 of C0 a probability below -1e-12.
+        (lambda: box_from_state(_diagonal(0.5 + 5e-11, 0.5, 0, -5e-11),
+                                make_observables("peres")),
+         NegativeProbability, "below"),
+        # Trace 1 + 0.9e-12 passes the density check; clamping the two
+        # entries of -0.9e-12 to 0 makes C0 sum to 1 + 2.7e-12.
+        (lambda: box_from_state(
+            _diagonal(0.5, -0.9e-12, -0.9e-12, 0.5 + 2.7e-12),
+            make_observables("peres")), NegativeProbability,
+         "context C0 sums to"),
+        (lambda: verify_peres_identities(make_observables("peres"),
+                                         np.ones(3)), ValueError,
+         "length-4 state vector"),
+        (lambda: verify_peres_identities(make_observables("peres"),
+                                         np.ones(4)), ValueError,
+         "unit-norm"),
+    ], ids=["parameter-type", "fixed-family-parameter", "density-shape",
+            "density-hermiticity", "density-eigenvalue", "observable-shape",
+            "observable-hermiticity", "observable-spectrum",
+            "noncommuting-context", "negative-probability",
+            "unnormalized-context", "psi-shape", "psi-norm"])
+    def test_check_raises(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()

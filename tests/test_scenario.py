@@ -287,6 +287,26 @@ class TestMarginalsAndExpectations:
     def test_bell_settings_order(self):
         assert BELL_SETTINGS == ((0, 0), (0, 1), (1, 0), (1, 1))
 
+    @pytest.mark.parametrize("x, y", [(0, 2), (2, 0), (-1, 1), (1, -1)])
+    def test_bell_setting_outside_zero_one_rejected(self, x, y):
+        # 2*x + y would index another setting's distribution.
+        marg = bell_marginal(fx.build_box(fx.NOISY_THIRD_TABLE))
+        party, setting = ("A", x) if x not in (0, 1) else ("B", y)
+        for call in (lambda: marg.dist(x, y),
+                     lambda: bell_correlator(marg, x, y),
+                     lambda: bell_single(marg, party, setting)):
+            with pytest.raises(ParameterOutOfRange, match="0 or 1"):
+                call()
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda box: single_marginal(box, "F"), "unknown observable 'F'"),
+        (lambda box: bell_single(bell_marginal(box), "C", 0),
+         "party must be 'A' or 'B'"),
+    ], ids=["observable", "party"])
+    def test_unknown_name_rejected(self, call, message):
+        with pytest.raises(KeyError, match=message):
+            call(fx.build_box(fx.PERES_TABLE))
+
 
 class TestMixtures:
     def test_third_mixture_matches_table(self):
@@ -335,9 +355,11 @@ class TestJsonRoundTrip:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda data: data.pop("contexts"), "'contexts' key"),
+        (lambda data: data.update(contexts=[]), "'contexts' must map"),
         (lambda data: data.update(label=5), "'label' must be a string"),
         (lambda data: data.update(label="a\udcff"), "valid Unicode text"),
-    ], ids=["no-contexts", "non-string-label", "surrogate-label"])
+    ], ids=["no-contexts", "contexts-not-a-map", "non-string-label",
+            "surrogate-label"])
     def test_malformed_object_rejected(self, edit, message):
         data = box_to_json_dict(fx.build_box(fx.PERES_TABLE))
         edit(data)

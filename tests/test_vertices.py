@@ -120,6 +120,14 @@ class TestLabels:
         with pytest.raises(BoxParseError):
             parse_local_label(bad)
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: DetBoxId(0, 0, 0, 0, 0, 2), "e must be 0 or 1, got 2"),
+        (lambda: LocalDetBoxId(-1, 0, 0, 0), "alpha must be 0 or 1"),
+    ], ids=["full", "local"])
+    def test_bits_outside_zero_one_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
 
 class TestAgainstIndependentRule:
     def test_all_64_match_rule_based_construction(self):
