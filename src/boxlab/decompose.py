@@ -48,12 +48,12 @@ below the size of the LP's decomposition: a size with a nonnegative support
 makes every larger size up to the LP's have one, so only the size below the
 answer is refuted exhaustively, and the smaller ones with it.  A vector is
 one int of fixed-width signed lanes, sized by a Hadamard bound on the
-candidates' minors, so an elimination step is a few whole-int operations;
-the target enters modulo a prime, and every support that passes the
-modular test is confirmed exactly.  One integer eliminator serves that
-confirmation, the survivors' weights (back-substituted in integers;
-``Fraction`` appears only in the final quotients) and the affine
-dimensions, with the exact simplex's step and integer scaling.
+minors of the candidates and the exact scaled target, so an elimination
+step is a few whole-int operations and a zero residual of the target
+proves that the support spans it.  One integer eliminator serves the
+survivors' weights (back-substituted in integers; ``Fraction`` appears
+only in the final quotients) and the affine dimensions, with the exact
+simplex's step and integer scaling.
 """
 
 from __future__ import annotations
@@ -505,11 +505,6 @@ class DimensionResult:
     nodes_used: int
 
 
-#: The prime modulus of the target's images in the span test; every support
-#: that passes the test modulo it is confirmed exactly.
-_SPAN_PRIME = 65521
-
-
 class _SpanFilter:
     """Integer span test of supports, one depth-first descent per size.
 
@@ -540,15 +535,14 @@ class _SpanFilter:
     lane, its first nonzero one, holds its lowest set bit.  Every entry of
     a reduced candidate column is a minor of the 0/1 columns on ``r`` kept
     rows, so at most the Hadamard bound ``hc = r**(r/2)``.  The target
-    enters as its scaled entries reduced modulo the prime
-    :data:`_SPAN_PRIME` ``Q``.  The step is linear, with candidate minors
-    as coefficients, and divides exactly on any integer vector, so it maps
-    the reduced images to images of the true reduced target modulo ``Q``,
-    each entry a sum of at most ``r`` terms below ``hc*Q``, whatever the
-    target's denominators.  A lane holds ``r*hc*Q`` and a sign bit: 37
-    bits on the noisy boxes, 35 on their Bell marginals.  A support whose
-    image residual is nonzero modulo ``Q`` is refuted, which a true span
-    never gives, and :meth:`weights` confirms every other support exactly.
+    enters as its exact scaled entries, at most ``T``; each entry of the
+    reduced target is a minor of the columns and the target, a sum of at
+    most ``r`` terms below ``hc*T`` by expansion along the target.  A lane
+    holds ``r*hc*T`` and a sign bit: 24 bits on the W=1/4 box, 21 on its
+    Bell marginal, growing with the target's denominators.  The last
+    step's undivided residual of the target is ``d`` times the next
+    reduced target, whose lanes fit, so it is 0 exactly when the support
+    spans the target.
     """
 
     def __init__(self, table: _CellTable):
@@ -561,18 +555,17 @@ class _SpanFilter:
         self._scale = scale
         self._colbits = table.colbits
         self._full_mask = table.full_mask
-        self._prime = prime = _SPAN_PRIME
         r = len(keep)
         hadamard = isqrt(r ** r - 1) + 1
         #: Bits per lane of a packed vector.
-        self.width = (r * hadamard * prime).bit_length() + 1
+        self.width = (r * hadamard * max(self.target)).bit_length() + 1
         self._half = 1 << (self.width - 1)
         self._lane_mask = (1 << self.width) - 1
         # Adding half to every lane makes each one nonnegative, so a lane
         # reads off with a shift and a mask.
         self._bias = self.pack([self._half] * r)
         self._packed = [self.pack(column) for column in self.columns]
-        self._packed_target = self.pack([t % prime for t in self.target])
+        self._packed_target = self.pack(self.target)
 
     def pack(self, entries: Sequence[int]) -> int:
         """The packed vector of ``entries``, each less than half a lane."""
@@ -601,29 +594,25 @@ class _SpanFilter:
         (of either sign).
 
         The descent carries, for the path of candidates chosen so far, its
-        cover mask, the target's image and the later candidates whose
+        cover mask, the reduced target and the later candidates whose
         columns are independent of the path's, each reduced against it.  A
         path is pruned when its newest column depends on the earlier ones,
         or when its mask and every later candidate's cannot cover
         ``full_mask``; at the last slot a candidate must complete the cover.
         """
-        colbits, prime, path = self._colbits, self._prime, []
+        colbits, path = self._colbits, []
         full_mask = self._full_mask
 
         def descend(live, cover, target, d, slots):
             if slots == 1:
-                image = target % prime
                 for j, v in live:
                     shift, p = self._pivot(v)
-                    f = self._lane(target, shift)
                     # The residual a pivot on v would leave of the target,
-                    # modulo the prime: target * p - f * v.
-                    if (image * p - f * (v % prime)) % prime:
+                    # times d.
+                    if target * p - self._lane(target, shift) * v:
                         continue
                     subset = (*path, j)
-                    q = self.weights(subset)
-                    if q is not None:
-                        yield subset, q
+                    yield subset, self.weights(subset)
                 return
             reach = [0] * (len(live) + 1)
             for pos in range(len(live) - 1, 0, -1):
@@ -648,7 +637,7 @@ class _SpanFilter:
     def _extend(self, live, pos: int, target: int, d: int, need: int):
         """One Bareiss step on the packed vectors, pivoting on the column of
         ``live[pos]``, ``d`` the path's previous pivot value: ``(p, target,
-        later)``, ``p`` the new pivot value, ``target`` the reduced image and
+        later)``, ``p`` the new pivot value, ``target`` the reduced target and
         ``later`` the candidates after ``live[pos]`` that cover ``need``,
         each reduced, without those whose column becomes 0; None when no
         later candidate covers ``need``."""
@@ -828,8 +817,6 @@ def _min_subset_search(target, budget: int, vs: _VertexSet
 
 def _affine_rank(vectors) -> int:
     """Exact affine rank of integer vectors (the dimension of their hull)."""
-    if not vectors:
-        return 0
     base = vectors[0]
     return len(_echelon([[a - b for a, b in zip(v, base)]
                          for v in vectors[1:]]))

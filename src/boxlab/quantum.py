@@ -124,6 +124,8 @@ def max_entangled_ket() -> np.ndarray:
 
 
 def _as_float_param(value) -> float:
+    if isinstance(value, bool):
+        raise ParameterOutOfRange(f"cannot interpret parameter {value!r}")
     if isinstance(value, str):
         return float(as_rational(value))
     if isinstance(value, (Fraction, int, float)):
@@ -294,12 +296,12 @@ def rationalize_box(raw: Sequence[Sequence[float]],
     ``max_denominator``.  If any entry misses by ``tolerance`` or more, or the
     snapped box fails exact validation (normalization or no-disturbance),
     raises :class:`NoExactRationalization`.  No renormalization is performed.
-    A ``max_denominator`` below 1, or a ``tolerance`` that is not positive
-    and finite, raises :class:`ParameterOutOfRange`.
+    A ``max_denominator`` below 1, a ``tolerance`` that is not positive
+    and finite, or a bool for either, raises :class:`ParameterOutOfRange`.
     """
-    if max_denominator < 1:
+    if isinstance(max_denominator, bool) or max_denominator < 1:
         raise ParameterOutOfRange(f"max_denominator must be >= 1")
-    if not 0 < tolerance < math.inf:
+    if isinstance(tolerance, bool) or not 0 < tolerance < math.inf:
         raise ParameterOutOfRange(
             f"tolerance must be positive and finite, got {tolerance!r}")
     vectors = [list(dist) for dist in raw]

@@ -155,7 +155,10 @@ class Box:
 
     def context(self, context_id: str) -> tuple[Fraction, ...]:
         """The distribution of one context, in flat-index order."""
-        return self.contexts[CONTEXT_IDS.index(context_id)]
+        try:
+            return self.contexts[CONTEXT_IDS.index(context_id)]
+        except ValueError:
+            raise KeyError(f"unknown context {context_id!r}") from None
 
     def entries(self) -> tuple[Fraction, ...]:
         """All 28 entries concatenated in context order."""

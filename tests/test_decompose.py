@@ -1373,9 +1373,13 @@ class TestRankSizedSpanFilter:
     # differs there, so only a basis chosen with the target column sees
     # that (1/2, 0, 1/2) is no mixture of 011, 100 and 111 (candidates 0
     # and 1 would otherwise pass with weights 1/2, 1/2).
+    @staticmethod
+    def outside_span_table():
+        return bits_table((0b011, 0b100, 0b111), (0b001, 0b100),
+                          [Fraction(1, 2), Fraction(1, 2)], 3)
+
     def test_target_outside_the_span_refutes_every_subset(self):
-        table = bits_table((0b011, 0b100, 0b111), (0b001, 0b100),
-                           [Fraction(1, 2), Fraction(1, 2)], 3)
+        table = self.outside_span_table()
         span = decompose._SpanFilter(table._replace(full_mask=0))
         # The target's row is kept: its column is outside the candidates'
         # span, so the system's rank is one more than theirs.
@@ -1385,6 +1389,23 @@ class TestRankSizedSpanFilter:
             for subset in itertools.combinations(range(3), k):
                 assert span.weights(subset) is None, subset
         assert_span_filter_matches_ranks(table, 3)
+
+    # The last slot's residual is exact, so a support that does not span
+    # the target is refuted there and never reaches the exact solver.
+    def test_refuted_supports_are_not_solved(self, monkeypatch):
+        calls = []
+        weights = decompose._SpanFilter.weights
+
+        def counting(span, subset):
+            calls.append(subset)
+            return weights(span, subset)
+
+        monkeypatch.setattr(decompose._SpanFilter, "weights", counting)
+        table = self.outside_span_table()
+        span = decompose._SpanFilter(table._replace(full_mask=0))
+        for k in range(1, 4):
+            assert list(span.spanning(k)) == [], k
+        assert calls == []
 
     # The cell system has one row per support cell.
     @pytest.mark.parametrize("vs, target, rows, rank", [
@@ -1470,8 +1491,7 @@ class TestPackedDescent:
         steps = self.record(monkeypatch)
         table = dense_columns_table(seed)
         span = decompose._SpanFilter(table)
-        assert unpack(span, span._packed_target) == [
-            t % decompose._SPAN_PRIME for t in span.target]
+        assert unpack(span, span._packed_target) == span.target
         assert [unpack(span, v) for v in span._packed] == span.columns
         uncovered = decompose._SpanFilter(table._replace(full_mask=0))
         for k in range(1, 6):
@@ -1491,46 +1511,67 @@ class TestPackedDescent:
         span = decompose._SpanFilter(table._replace(full_mask=0))
         for k in range(1, 4):
             list(span.spanning(k))
-        assert unpack(span, span._packed_target) == [
-            t % decompose._SPAN_PRIME for t in span.target]
+        assert unpack(span, span._packed_target) == span.target
         # The search's own steps, with its cover masks and its filter.
         decompose._min_subset_search(target, 200_000, vs)
         assert_packed_steps_match_lists(span, steps)
 
-    # With a prime of 2 or 3 many supports pass the modular test without
-    # spanning the target; the exact confirmation must refute every one.
-    @pytest.mark.parametrize("vs, size", REFERENCE_MIXTURES,
-                             ids=[f"{vs.name}-{size}"
-                                  for vs, size in REFERENCE_MIXTURES])
-    def test_tiny_primes_match_the_reference_walk(self, monkeypatch, vs,
-                                                  size):
-        rng = random.Random(f"{vs.name}-{size}")
-        target = random_mixture(rng, vs, size, big=size % 2 == 1)
-        table = decompose._cell_table(target, vs)
-        for budget in (0, 2_000, 200_000):
-            expected = reference_search(table, budget, target, vs)
-            for prime in (2, 3):
-                monkeypatch.setattr(decompose, "_SPAN_PRIME", prime)
-                assert decompose._min_subset_search(
-                    target, budget, vs) == expected, (budget, prime)
-
-    def test_tiny_prime_sends_false_passes_to_the_confirmation(
-            self, monkeypatch):
-        calls = []
+    # A zero residual at the last slot is a proof that the support spans
+    # the target: every support a descent passes has the weights the
+    # Fraction solve finds, never None.
+    @staticmethod
+    def record_passes(monkeypatch):
+        """Record every support the descents that follow pass, with the
+        weights the exact solver gives it."""
+        passed = []
         weights = decompose._SpanFilter.weights
 
-        def counting(span, subset):
+        def recording(span, subset):
             q = weights(span, subset)
-            calls.append(q is None)
+            passed.append((subset, q))
             return q
 
-        monkeypatch.setattr(decompose._SpanFilter, "weights", counting)
-        monkeypatch.setattr(decompose, "_SPAN_PRIME", 2)
+        monkeypatch.setattr(decompose._SpanFilter, "weights", recording)
+        return passed
+
+    @staticmethod
+    def assert_passes_span(table, passed):
+        columns, rhs = cell_system(table)
+        assert passed
+        for subset, q in passed:
+            assert q is not None, subset
+            assert q == fraction_solve([columns[j] for j in subset],
+                                       rhs), subset
+
+    # On the other reference mixtures the search refutes the level below
+    # the answer and passes no support.
+    @pytest.mark.parametrize("vs, size", EXACT_REFERENCE_MIXTURES,
+                             ids=[f"{vs.name}-{size}"
+                                  for vs, size in EXACT_REFERENCE_MIXTURES])
+    def test_search_passes_span_the_target(self, monkeypatch, vs, size):
+        passed = self.record_passes(monkeypatch)
+        target = random_mixture(random.Random(f"{vs.name}-{size}"), vs,
+                                size, big=size % 2 == 1)
+        decompose._min_subset_search(target, 200_000, vs)
+        self.assert_passes_span(decompose._cell_table(target, vs), passed)
+
+    def test_noisy_quarter_passes_span_the_target(self, monkeypatch):
+        passed = self.record_passes(monkeypatch)
         box = noisy_peres_box("1/4")
         result = decompose._min_subset_search(box, 200_000, decompose._NC)
         assert (labels(result), result.nodes_used) == (NOISY_QUARTER_SUPPORT,
                                                        38_854)
-        assert sum(calls) > 0
+        self.assert_passes_span(decompose._cell_table(box, decompose._NC),
+                                passed)
+
+    @pytest.mark.parametrize("seed", [2, 7])
+    def test_dense_column_passes_span_the_target(self, monkeypatch, seed):
+        passed = self.record_passes(monkeypatch)
+        table = dense_columns_table(seed)
+        span = decompose._SpanFilter(table._replace(full_mask=0))
+        for k in range(1, 6):
+            list(span.spanning(k))
+        self.assert_passes_span(table, passed)
 
     @staticmethod
     def record_sizes(monkeypatch):

@@ -201,6 +201,15 @@ class TestRationalization:
         with pytest.raises(ParameterOutOfRange, match="max_denominator"):
             rationalize_box(raw, max_denominator=0)
 
+    # A bool is an int, but no count or tolerance: True must not read as 1.
+    @pytest.mark.parametrize("option", ["max_denominator", "tolerance"])
+    def test_bool_rationalization_option_rejected(self, option):
+        rho, obs = make_state("werner", "1/10"), make_observables("peres")
+        with pytest.raises(ParameterOutOfRange, match=option):
+            rationalize_box(box_from_state(rho, obs), **{option: True})
+        with pytest.raises(ParameterOutOfRange, match=option):
+            quantum_box(rho, obs, **{option: True})
+
     def test_wrong_context_sizes_rejected(self):
         raw = [[0.25] * 4] * 5
         with pytest.raises(NoExactRationalization, match="context sizes"):
@@ -254,6 +263,8 @@ class TestValidationChecks:
     @pytest.mark.parametrize("call, error, message", [
         (lambda: make_state("werner", object()), ParameterOutOfRange,
          "cannot interpret parameter"),
+        (lambda: make_state("werner", True), ParameterOutOfRange,
+         "cannot interpret parameter True"),
         (lambda: make_state("cc", "1/2"), ParameterOutOfRange,
          "takes no parameter"),
         (lambda: check_density(np.eye(2) / 2), ValueError, "must be 4x4"),
@@ -288,9 +299,9 @@ class TestValidationChecks:
         (lambda: verify_peres_identities(make_observables("peres"),
                                          np.ones(4)), ValueError,
          "unit-norm"),
-    ], ids=["parameter-type", "fixed-family-parameter", "density-shape",
-            "density-hermiticity", "density-eigenvalue", "observable-shape",
-            "observable-hermiticity", "observable-spectrum",
+    ], ids=["parameter-type", "parameter-bool", "fixed-family-parameter",
+            "density-shape", "density-hermiticity", "density-eigenvalue",
+            "observable-shape", "observable-hermiticity", "observable-spectrum",
             "noncommuting-context", "negative-probability",
             "unnormalized-context", "psi-shape", "psi-norm"])
     def test_check_raises(self, call, error, message):

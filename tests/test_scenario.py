@@ -302,7 +302,9 @@ class TestMarginalsAndExpectations:
         (lambda box: single_marginal(box, "F"), "unknown observable 'F'"),
         (lambda box: bell_single(bell_marginal(box), "C", 0),
          "party must be 'A' or 'B'"),
-    ], ids=["observable", "party"])
+        (lambda box: box.context("C5"), "unknown context 'C5'"),
+        (lambda box: expectation(box, "C5"), "unknown context 'C5'"),
+    ], ids=["observable", "party", "context", "expectation"])
     def test_unknown_name_rejected(self, call, message):
         with pytest.raises(KeyError, match=message):
             call(fx.build_box(fx.PERES_TABLE))
