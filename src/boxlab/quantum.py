@@ -1,11 +1,15 @@
 """Two-qubit states, observable assignments, and quantum box generation.
 
-Quantum arithmetic is floating point (numpy, double precision); all polytope
-work elsewhere in the package is exact-rational.  numpy is imported on first
-quantum use (:func:`_qubit`), so the exact layers and the commands that make
-no quantum box neither load nor need it.  :func:`rationalize_box` is
-the single bridge between the two worlds: it either lands on an exactly valid
-:class:`~boxlab.scenario.Box` or raises :class:`NoExactRationalization`.
+Each named state is exact data: its rational Pauli coefficients
+(:data:`_STATES`; the Werner weight is the one parameter).  Each named
+observable set is a table of one-qubit factors (:data:`_OBSERVABLES`).
+Floating point (numpy, double precision) starts at the matrices built from
+them; all polytope work elsewhere in the package is exact-rational.  numpy
+is imported on first quantum use (:func:`_qubit`), so the exact layers and
+the commands that make no quantum box neither load nor need it.
+:func:`rationalize_box` is the single bridge between the two worlds: it
+either lands on an exactly valid :class:`~boxlab.scenario.Box` or raises
+:class:`NoExactRationalization`.
 
 Joint outcome probabilities use products of commuting spectral projectors,
 ``p(outcomes) = Re tr(rho . P1 P2 [P3])`` with ``P = (1 + (-1)^bit O) / 2``
@@ -15,6 +19,8 @@ for each observable in context order.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -48,29 +54,68 @@ PROBABILITY_TOL = 1e-12
 DEFAULT_MAX_DENOMINATOR = 4096
 DEFAULT_TOLERANCE = 1e-9
 
+_HALF, _THIRD = Fraction(1, 2), Fraction(1, 3)
+
+#: Each fixed state's exact Pauli coefficients ``c_P = tr(rho P)``, keyed by
+#: the two-qubit Pauli string ``P`` (first letter on the first qubit), so
+#: that ``rho = 1/4 sum c_P P``.  The weight-w Werner state is
+#: ``{II: 1, XX: w, YY: -w, ZZ: w}``, which is ``max_entangled`` at w = 1.
+_STATES = {
+    "max_entangled": {"II": 1, "XX": 1, "YY": -1, "ZZ": 1},
+    # |00><00| and |11><11|, equally mixed.
+    "cc": {"II": 1, "ZZ": 1},
+    # |00><00| and |++><++|.
+    "rank2": {"II": 1, **dict.fromkeys(("ZI", "IZ", "ZZ", "XI", "IX", "XX"),
+                                       _HALF)},
+    # |00>, |++>, |11> and |-->.
+    "rank3_rho": {"II": 1, "ZZ": _HALF, "XX": _HALF},
+    # |00>, |++> and a Y-eigenstate term that pairs the +1 eigenvector on
+    # the first qubit with its complex conjugate (the -1 eigenvector) on the
+    # second, hence IY = YY = -1/3.  Pairing +1 with +1 would flip the sign
+    # of the Y(x)Y correlation and with it the D,E distribution of this
+    # family's box under the nonlocal observable set.
+    "rank3_sigma": {"II": 1, **dict.fromkeys(
+        ("ZI", "IZ", "ZZ", "XI", "IX", "XX", "YI"), _THIRD),
+        "IY": -_THIRD, "YY": -_THIRD},
+}
+
+#: Each observable set's A0, A1, B0, B1, D and E, each as its two one-qubit
+#: factors (see :func:`_qubit`).
+_OBSERVABLES = {
+    # D and E are the nonlocal products Z(x)X and X(x)Z.
+    "peres": ("ZI", "XI", "IZ", "IX", "ZX", "XZ"),
+    # D and E are the local factors 1(x)X and X(x)1.
+    "product": ("ZI", "XI", "IZ", "IX", "IX", "XI"),
+    # Every observable is rotated into the Z+-X basis.
+    "rotated": ("+I", "-I", "I+", "I-", "+-", "-+"),
+}
+
 STATE_FAMILIES = ("max_entangled", "werner", "cc", "rank2", "rank3_rho",
                   "rank3_sigma")
-OBSERVABLE_SETS = ("peres", "product", "rotated")
+OBSERVABLE_SETS = tuple(_OBSERVABLES)
 
 
 @lru_cache(maxsize=None)
 def _qubit() -> SimpleNamespace:
-    """numpy (``np``), the matrices ``I2``, ``X``, ``Z`` and the unit
-    eigenkets of Z (``ket0``, ``ket1``), X (``plus``, ``minus``) and Y
-    (``plus_y``, ``minus_y``), made on first use."""
+    """numpy (``np``) and the one-qubit factors (``factor``) that the
+    :data:`_STATES` and :data:`_OBSERVABLES` strings name: the Paulis ``I``,
+    ``X``, ``Y``, ``Z`` and ``+``, ``-`` = (Z +- X)/sqrt(2), made on first
+    use."""
     import numpy as np
 
-    def ket(*amplitudes: complex) -> np.ndarray:
-        v = np.array(amplitudes, dtype=complex)
-        return v / np.linalg.norm(v)
+    I, X = np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex)
+    Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+    Z = np.array([[1, 0], [0, -1]], dtype=complex)
+    return SimpleNamespace(np=np, factor={
+        "I": I, "X": X, "Y": Y, "Z": Z,
+        "+": (Z + X) / math.sqrt(2), "-": (Z - X) / math.sqrt(2)})
 
-    return SimpleNamespace(
-        np=np, ket=ket,
-        I2=np.eye(2, dtype=complex),
-        X=np.array([[0, 1], [1, 0]], dtype=complex),
-        Z=np.array([[1, 0], [0, -1]], dtype=complex),
-        ket0=ket(1, 0), ket1=ket(0, 1), plus=ket(1, 1), minus=ket(1, -1),
-        plus_y=ket(1, 1j), minus_y=ket(1, -1j))
+
+def _two_qubit(factors: str) -> np.ndarray:
+    """The Kronecker product of the two one-qubit factors ``factors`` names,
+    the first letter on the first qubit."""
+    q = _qubit()
+    return q.np.kron(q.factor[factors[0]], q.factor[factors[1]])
 
 
 @dataclass(frozen=True)
@@ -114,27 +159,32 @@ class ObservableSet:
         return [self.observable(o) for o in CONTEXT_OBSERVABLES[context_id]]
 
 
-def _proj(ket: np.ndarray) -> np.ndarray:
-    return _qubit().np.outer(ket, ket.conj())
-
-
 def max_entangled_ket() -> np.ndarray:
     """``(|00> + |11>)/sqrt(2)`` in the basis |00>,|01>,|10>,|11>."""
-    return _qubit().ket(1, 0, 0, 1)
+    return _qubit().np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
 
 
-def _as_float_param(value) -> float:
-    if isinstance(value, bool):
+def _werner_weight(value) -> float:
+    """The Werner weight ``value`` as a float.  Its range [0, 1] is decided
+    on the exact value, so a rational beyond the float range is rejected
+    as out of range, not overflowed."""
+    if isinstance(value, bool) or not isinstance(
+            value, (str, Fraction, int, float)):
         raise ParameterOutOfRange(f"cannot interpret parameter {value!r}")
-    if isinstance(value, str):
-        return float(as_rational(value))
-    if isinstance(value, (Fraction, int, float)):
-        return float(value)
-    raise ParameterOutOfRange(f"cannot interpret parameter {value!r}")
+    exact = as_rational(value) if isinstance(value, str) else value
+    if not 0 <= exact <= 1:
+        try:
+            shown = float(exact)
+        except OverflowError:
+            raise ParameterOutOfRange(
+                "werner weight outside [0, 1], beyond the float range"
+            ) from None
+        raise ParameterOutOfRange(f"werner weight {shown} outside [0, 1]")
+    return float(exact)
 
 
 def make_state(family: str, w=None) -> np.ndarray:
-    """Density matrix of a named two-qubit family.
+    """Density matrix ``1/4 sum c_P P`` of a named two-qubit family.
 
     ``family`` is one of :data:`STATE_FAMILIES`; ``w`` is required (in [0, 1])
     for the one-parameter ``werner`` family and rejected otherwise.
@@ -142,76 +192,26 @@ def make_state(family: str, w=None) -> np.ndarray:
     if family not in STATE_FAMILIES:
         raise ParameterOutOfRange(
             f"unknown state family {family!r}; choose from {STATE_FAMILIES}")
-    if family != "werner" and w is not None:
-        raise ParameterOutOfRange(f"family {family!r} takes no parameter")
-    q = _qubit()
-    kron = q.np.kron
-    me = _proj(max_entangled_ket())
-    if family == "max_entangled":
-        rho = me
-    elif family == "werner":
-        if w is None:
-            raise ParameterOutOfRange("werner requires a weight parameter w")
-        weight = _as_float_param(w)
-        if not 0 <= weight <= 1:
-            raise ParameterOutOfRange(f"werner weight {weight} outside [0, 1]")
-        rho = weight * me + (1 - weight) * q.np.eye(4) / 4
-    elif family == "cc":
-        rho = 0.5 * (_proj(kron(q.ket0, q.ket0)) + _proj(kron(q.ket1, q.ket1)))
-    elif family == "rank2":
-        rho = 0.5 * (_proj(kron(q.ket0, q.ket0)) + _proj(kron(q.plus, q.plus)))
-    elif family == "rank3_rho":
-        rho = 0.25 * (
-            _proj(kron(q.ket0, q.ket0)) + _proj(kron(q.plus, q.plus))
-            + _proj(kron(q.ket1, q.ket1)) + _proj(kron(q.minus, q.minus)))
-    else:  # rank3_sigma
-        # The Y-eigenstate term pairs the +1 eigenvector on the first qubit
-        # with its complex conjugate (the -1 eigenvector) on the second.
-        # Pairing +1 with +1 would flip the sign of the Y(x)Y correlation and
-        # with it the D,E distribution of this family's box under the
-        # nonlocal observable set.
-        rho = (
-            _proj(kron(q.ket0, q.ket0)) + _proj(kron(q.plus, q.plus))
-            + _proj(kron(q.plus_y, q.minus_y))) / 3
+    if family != "werner":
+        if w is not None:
+            raise ParameterOutOfRange(f"family {family!r} takes no parameter")
+        coefficients = _STATES[family]
+    elif w is None:
+        raise ParameterOutOfRange("werner requires a weight parameter w")
+    else:
+        weight = _werner_weight(w)
+        coefficients = {"II": 1, "XX": weight, "YY": -weight, "ZZ": weight}
+    rho = sum(float(c) * _two_qubit(p) for p, c in coefficients.items()) / 4
     check_density(rho)
     return rho
 
 
 def make_observables(name: str) -> ObservableSet:
-    """One of the three named six-observable assignments.
-
-    ``peres``: D and E are the nonlocal products Z(x)X and X(x)Z.
-    ``product``: D and E are the local factors 1(x)X and X(x)1.
-    ``rotated``: every observable is rotated into the Z+-X basis.
-    """
-    q = _qubit()
-    kron, I2, X, Z = q.np.kron, q.I2, q.X, q.Z
-    if name == "peres":
-        obs = ObservableSet(
-            name,
-            A0=kron(Z, I2), A1=kron(X, I2),
-            B0=kron(I2, Z), B1=kron(I2, X),
-            D=kron(Z, X), E=kron(X, Z),
-        )
-    elif name == "product":
-        obs = ObservableSet(
-            name,
-            A0=kron(Z, I2), A1=kron(X, I2),
-            B0=kron(I2, Z), B1=kron(I2, X),
-            D=kron(I2, X), E=kron(X, I2),
-        )
-    elif name == "rotated":
-        zpx = (Z + X) / math.sqrt(2)
-        zmx = (Z - X) / math.sqrt(2)
-        obs = ObservableSet(
-            name,
-            A0=kron(zpx, I2), A1=kron(zmx, I2),
-            B0=kron(I2, zpx), B1=kron(I2, zmx),
-            D=kron(zpx, zmx), E=kron(zmx, zpx),
-        )
-    else:
+    """One of the named six-observable assignments, :data:`OBSERVABLE_SETS`."""
+    if name not in _OBSERVABLES:
         raise ParameterOutOfRange(
             f"unknown observable set {name!r}; choose from {OBSERVABLE_SETS}")
+    obs = ObservableSet(name, *map(_two_qubit, _OBSERVABLES[name]))
     check_observables(obs)
     return obs
 
@@ -296,12 +296,19 @@ def rationalize_box(raw: Sequence[Sequence[float]],
     ``max_denominator``.  If any entry misses by ``tolerance`` or more, or the
     snapped box fails exact validation (normalization or no-disturbance),
     raises :class:`NoExactRationalization`.  No renormalization is performed.
-    A ``max_denominator`` below 1, a ``tolerance`` that is not positive
-    and finite, or a bool for either, raises :class:`ParameterOutOfRange`.
+    A ``max_denominator`` that is not an integer (``operator.index``) of at
+    least 1, a ``tolerance`` that is not a positive and finite real, or a
+    bool for either, raises :class:`ParameterOutOfRange`.
     """
-    if isinstance(max_denominator, bool) or max_denominator < 1:
-        raise ParameterOutOfRange(f"max_denominator must be >= 1")
-    if isinstance(tolerance, bool) or not 0 < tolerance < math.inf:
+    if (isinstance(max_denominator, bool)
+            or not hasattr(max_denominator, "__index__")):
+        raise ParameterOutOfRange(
+            f"max_denominator must be an integer, got {max_denominator!r}")
+    max_denominator = operator.index(max_denominator)
+    if max_denominator < 1:
+        raise ParameterOutOfRange("max_denominator must be >= 1")
+    if (isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real)
+            or not 0 < tolerance < math.inf):
         raise ParameterOutOfRange(
             f"tolerance must be positive and finite, got {tolerance!r}")
     vectors = [list(dist) for dist in raw]

@@ -129,11 +129,15 @@ class TestGen:
         code, _, _ = run_cli(capsys, *argv)
         assert code == 2
 
-    def test_oversized_parameter_exits_2(self, capsys):
+    @pytest.mark.parametrize("argv", [
         # Terms beyond the interpreter's 4300-digit int-string limit.
-        w = "1" * 5001 + "/" + "3" * 5001
-        assert_one_error_line(*run_cli(
-            capsys, "gen", "--family", "noisy-peres", "--W", w))
+        ("--family", "noisy-peres", "--W", "1" * 5001 + "/" + "3" * 5001),
+        # A weight beyond the float range.
+        ("--state", "werner", "--observables", "peres",
+         "--W", "1" + "0" * 400),
+    ], ids=["int-string-limit", "beyond-float-range"])
+    def test_oversized_parameter_exits_2(self, capsys, argv):
+        assert_one_error_line(*run_cli(capsys, "gen", *argv))
 
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
     def test_unusable_tolerance_exits_2(self, capsys, tolerance):

@@ -1,7 +1,9 @@
 """Two-qubit states, observable sets, and exact box generation."""
 
+import math
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -15,6 +17,10 @@ from boxlab.errors import (
     ParameterOutOfRange,
 )
 from boxlab.quantum import (
+    OBSERVABLE_SETS,
+    STATE_FAMILIES,
+    _OBSERVABLES,
+    _STATES,
     box_from_state,
     check_density,
     check_observables,
@@ -28,13 +34,103 @@ from boxlab.quantum import (
     werner_third_product_terms,
 )
 
-STATE_FAMILIES = ("max_entangled", "cc", "rank2", "rank3_rho", "rank3_sigma")
-OBSERVABLE_SETS = ("peres", "product", "rotated")
+FIXED_FAMILIES = ("max_entangled", "cc", "rank2", "rank3_rho", "rank3_sigma")
+
+
+# The reference states and observables, built from projectors onto product
+# kets and Kronecker products of one-qubit matrices, independently of the
+# Pauli tables they are checked against.
+def _ket(*amplitudes):
+    v = np.array(amplitudes, dtype=complex)
+    return v / np.linalg.norm(v)
+
+
+def _proj(ket):
+    return np.outer(ket, ket.conj())
+
+
+def _product_proj(alice, bob):
+    return _proj(np.kron(alice, bob))
+
+
+KET0, KET1, PLUS, MINUS = _ket(1, 0), _ket(0, 1), _ket(1, 1), _ket(1, -1)
+PLUS_Y, MINUS_Y = _ket(1, 1j), _ket(1, -1j)
+I2 = np.eye(2, dtype=complex)
+X = np.array([[0, 1], [1, 0]], dtype=complex)
+Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+Z = np.array([[1, 0], [0, -1]], dtype=complex)
+PAULIS = {"I": I2, "X": X, "Y": Y, "Z": Z}
+ME = _proj(_ket(1, 0, 0, 1))
+
+REFERENCE_STATES = {
+    "max_entangled": ME,
+    "cc": (_product_proj(KET0, KET0) + _product_proj(KET1, KET1)) / 2,
+    "rank2": (_product_proj(KET0, KET0) + _product_proj(PLUS, PLUS)) / 2,
+    "rank3_rho": (_product_proj(KET0, KET0) + _product_proj(PLUS, PLUS)
+                  + _product_proj(KET1, KET1)
+                  + _product_proj(MINUS, MINUS)) / 4,
+    # A Y eigenstate paired with its complex conjugate, the other one.
+    "rank3_sigma": (_product_proj(KET0, KET0) + _product_proj(PLUS, PLUS)
+                    + _product_proj(PLUS_Y, MINUS_Y)) / 3,
+}
+
+ZPX, ZMX = (Z + X) / math.sqrt(2), (Z - X) / math.sqrt(2)
+# A0, A1, B0, B1, D, E of each set.
+REFERENCE_OBSERVABLES = {
+    "peres": (np.kron(Z, I2), np.kron(X, I2), np.kron(I2, Z), np.kron(I2, X),
+              np.kron(Z, X), np.kron(X, Z)),
+    "product": (np.kron(Z, I2), np.kron(X, I2), np.kron(I2, Z),
+                np.kron(I2, X), np.kron(I2, X), np.kron(X, I2)),
+    "rotated": (np.kron(ZPX, I2), np.kron(ZMX, I2), np.kron(I2, ZPX),
+                np.kron(I2, ZMX), np.kron(ZPX, ZMX), np.kron(ZMX, ZPX)),
+}
+
+
+def _werner_cases():
+    """Each Werner weight checked, with its reference state and its Pauli
+    coefficients."""
+    for w in (Fraction(0), Fraction(1, 3), Fraction(1)):
+        yield (w, float(w) * ME + (1 - float(w)) * np.eye(4) / 4,
+               {"II": 1, "XX": w, "YY": -w, "ZZ": w})
+
+
+def _assert_pauli_coefficients(rho, coefficients):
+    for a, b in product("IXYZ", repeat=2):
+        value = np.trace(rho @ np.kron(PAULIS[a], PAULIS[b]))
+        assert abs(value - float(coefficients.get(a + b, 0))) < 1e-12, a + b
+
+
+class TestTables:
+    def test_families_are_the_table_and_werner(self):
+        assert sorted(STATE_FAMILIES) == sorted([*_STATES, "werner"])
+        assert len(STATE_FAMILIES) == len(set(STATE_FAMILIES))
+        assert OBSERVABLE_SETS == tuple(REFERENCE_OBSERVABLES)
+
+    @pytest.mark.parametrize("family", FIXED_FAMILIES)
+    def test_state_coefficients(self, family):
+        _assert_pauli_coefficients(make_state(family), _STATES[family])
+        _assert_pauli_coefficients(REFERENCE_STATES[family], _STATES[family])
+        assert np.max(np.abs(make_state(family)
+                             - REFERENCE_STATES[family])) < 1e-12
+
+    def test_werner_coefficients(self):
+        for w, reference, coefficients in _werner_cases():
+            _assert_pauli_coefficients(make_state("werner", w), coefficients)
+            _assert_pauli_coefficients(reference, coefficients)
+            assert np.max(np.abs(make_state("werner", w) - reference)) < 1e-12
+
+    @pytest.mark.parametrize("name", OBSERVABLE_SETS)
+    def test_observables_match_the_reference(self, name):
+        obs = make_observables(name)
+        assert obs.name == name
+        for key, reference in zip(("A0", "A1", "B0", "B1", "D", "E"),
+                                  REFERENCE_OBSERVABLES[name]):
+            assert np.max(np.abs(obs.observable(key) - reference)) < 1e-12, key
 
 
 class TestStates:
     def test_all_families_are_density_matrices(self):
-        for family in STATE_FAMILIES:
+        for family in FIXED_FAMILIES:
             rho = make_state(family)
             assert rho.shape == (4, 4)
             assert abs(np.trace(rho) - 1) < 1e-12
@@ -55,6 +151,23 @@ class TestStates:
             make_state("werner", "3/2")
         with pytest.raises(ParameterOutOfRange):
             make_state("unknown-family")
+
+    # A weight beyond the float range is out of range, decided exactly,
+    # not an OverflowError of its float conversion.
+    @pytest.mark.parametrize("w", [10 ** 400, -10 ** 400,
+                                   Fraction(10 ** 401, 3), "1" + "0" * 400],
+                             ids=["int", "negative-int", "fraction", "text"])
+    def test_werner_weight_beyond_the_float_range(self, w):
+        with pytest.raises(ParameterOutOfRange,
+                           match=r"outside \[0, 1\], beyond the float range"):
+            make_state("werner", w)
+
+    @pytest.mark.parametrize("w, shown", [("3/2", "1.5"), (-1, "-1.0"),
+                                          (float("nan"), "nan")])
+    def test_werner_weight_out_of_range_message(self, w, shown):
+        with pytest.raises(ParameterOutOfRange,
+                           match=rf"^werner weight {shown} outside \[0, 1\]$"):
+            make_state("werner", w)
 
     def test_state_ranks(self):
         expected = {"cc": 2, "rank2": 2, "rank3_rho": 3, "rank3_sigma": 3}
@@ -188,18 +301,33 @@ class TestRationalization:
         assert box.contexts == noisy_peres_box("1/3").contexts
 
     @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), 0.0,
-                                           -1.0])
+                                           -1.0, "1e-9", None])
     def test_unusable_tolerance_rejected(self, tolerance):
-        raw = box_from_state(make_state("werner", "1/10"),
-                             make_observables("peres"))
+        rho, obs = make_state("werner", "1/10"), make_observables("peres")
         with pytest.raises(ParameterOutOfRange, match="tolerance"):
-            rationalize_box(raw, max_denominator=4, tolerance=tolerance)
+            rationalize_box(box_from_state(rho, obs), max_denominator=4,
+                            tolerance=tolerance)
+        with pytest.raises(ParameterOutOfRange, match="tolerance"):
+            quantum_box(rho, obs, max_denominator=4, tolerance=tolerance)
 
-    def test_unusable_max_denominator_rejected(self):
-        raw = box_from_state(make_state("werner", "1/10"),
-                             make_observables("peres"))
+    @pytest.mark.parametrize("max_denominator", [0, 2.5, "7"])
+    def test_unusable_max_denominator_rejected(self, max_denominator):
+        rho, obs = make_state("werner", "1/10"), make_observables("peres")
         with pytest.raises(ParameterOutOfRange, match="max_denominator"):
-            rationalize_box(raw, max_denominator=0)
+            rationalize_box(box_from_state(rho, obs),
+                            max_denominator=max_denominator)
+        with pytest.raises(ParameterOutOfRange, match="max_denominator"):
+            quantum_box(rho, obs, max_denominator=max_denominator)
+
+    @pytest.mark.parametrize("max_denominator, tolerance", [
+        (np.int64(12), Fraction(1, 10 ** 9)), (12, np.float64(1e-9))],
+        ids=["numpy-int-fraction", "int-numpy-float"])
+    def test_int_like_and_real_options_accepted(self, max_denominator,
+                                                tolerance):
+        box = quantum_box(make_state("werner", "1/3"),
+                          make_observables("peres"),
+                          max_denominator=max_denominator, tolerance=tolerance)
+        assert box.contexts == noisy_peres_box("1/3").contexts
 
     # A bool is an int, but no count or tolerance: True must not read as 1.
     @pytest.mark.parametrize("option", ["max_denominator", "tolerance"])
